@@ -54,7 +54,6 @@ from .extensions import (
     TruncationSpec,
     canonical_extension_group,
     enumerate_extensions,
-    tower_extension_type,
     verify_diagram,
     verify_uniqueness,
 )
@@ -68,7 +67,6 @@ from .finabelian import (
     from_relations,
     group_literal,
     hom_group,
-    is_isomorphic,
     parse_group_literal,
     power_and_socle,
     quotient,

@@ -47,6 +47,9 @@ def builtin_split_table() -> dict[int, FiniteAbelianGroup]:
     return {d: FiniteAbelianGroup(2) for d in SPLIT_TABLE_DISCRIMINANTS}
 
 
+_BUILTIN_SPLIT_TABLE = builtin_split_table()
+
+
 class SplitSource(enum.Enum):
     BUILTIN_TABLE = "builtin_table"
     USER_SUPPLIED = "user_supplied"
@@ -71,9 +74,8 @@ class SplitTable:
     def lookup(self, discriminant: int) -> SplitData | None:
         if discriminant in self.user:
             return SplitData(SplitSource.USER_SUPPLIED, self.user[discriminant])
-        builtin = builtin_split_table()
-        if discriminant in builtin:
-            return SplitData(SplitSource.BUILTIN_TABLE, builtin[discriminant])
+        if discriminant in _BUILTIN_SPLIT_TABLE:
+            return SplitData(SplitSource.BUILTIN_TABLE, _BUILTIN_SPLIT_TABLE[discriminant])
         return None
 
     def merged(self) -> dict[int, FiniteAbelianGroup]:
@@ -113,15 +115,14 @@ class GaloisAbelianType:
     """
 
     split_group: FiniteAbelianGroup
-    free_rank: int = 2
-    torsion_closure: ProfiniteDescriptor = field(default_factory=full_tower_descriptor)
 
-    def __post_init__(self) -> None:
-        # field-independent constants; equality then reduces to the split group
-        if self.free_rank != 2:
-            raise ValueError("the free profinite rank of this type is always 2")
-        if self.torsion_closure != full_tower_descriptor():
-            raise ValueError("the torsion closure of this type is always the full tower")
+    @property
+    def free_rank(self) -> int:
+        return 2
+
+    @property
+    def torsion_closure(self) -> ProfiniteDescriptor:
+        return full_tower_descriptor()
 
     @property
     def tower_extension(self) -> dict[int, TowerExtensionType]:

@@ -299,11 +299,11 @@ def _cmd_ffcompare(args) -> tuple[dict, list[str], int]:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="galab", description=__doc__)
+    parser = _Parser(prog="galab", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
     def add(name: str, handler: Callable, help_: str) -> _Parser:
-        p = sub.add_parser(name, help=help_)
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         return p

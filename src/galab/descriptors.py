@@ -84,12 +84,28 @@ def _card_to_json(c: Card):
     return "aleph0" if isinstance(c, Aleph0) else c
 
 
+def _is_json_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _card_from_json(v) -> Card:
     if v == "aleph0":
         return ALEPH0
-    if isinstance(v, int) and v >= 0:
+    if _is_json_int(v) and v >= 0:
         return v
     raise FormatError(f"bad multiplicity {v!r}: expected a non-negative integer or \"aleph0\"")
+
+
+def _int_from_json(v, key: str) -> int:
+    if _is_json_int(v):
+        return v
+    raise FormatError(f"bad {key} {v!r}: expected an integer")
+
+
+def _bool_from_json(v, key: str) -> bool:
+    if isinstance(v, bool):
+        return v
+    raise FormatError(f"bad {key} {v!r}: expected true or false")
 
 
 @dataclass(frozen=True)
@@ -334,20 +350,22 @@ def descriptor_from_document(doc: Mapping) -> Descriptor:
         recs = []
         for entry in doc.get("locals", []):
             cyclic = tuple(
-                (int(c["exp"]), _card_from_json(c["mult"])) for c in entry.get("cyclic", [])
+                (_int_from_json(c["exp"], "exp"), _card_from_json(c["mult"]))
+                for c in entry.get("cyclic", [])
             )
             recs.append(
                 LocalFactors(
-                    int(entry["prime"]),
+                    _int_from_json(entry["prime"], "prime"),
                     _card_from_json(entry.get("local_free_rank", 0)),
                     cyclic,
-                    bool(entry.get("full_tower", False)),
+                    _bool_from_json(entry.get("full_tower", False), "full_tower"),
                 )
             )
-        return cls(free, tuple(recs), bool(doc.get("all_primes_T", False)))
+        all_primes = _bool_from_json(doc.get("all_primes_T", False), "all_primes_T")
+        return cls(free, tuple(recs), all_primes)
     except FormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed descriptor document: {exc}") from exc
 
 

@@ -13,6 +13,7 @@ ground truth rather than heuristics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 from sympy import isprime
@@ -21,14 +22,11 @@ from .errors import BoundExceeded
 from .finabelian import (
     FiniteAbelianGroup,
     GroupElement,
-    _in_multiple,
     from_relations_with_map,
-    generating_subset,
     group_literal,
     partitions_desc,
+    power_and_socle,
     quotient,
-    quotient_map,
-    span_elements,
     subgroups_isomorphic_to,
 )
 
@@ -272,11 +270,6 @@ class TowerExtensionType:
         return self.split.is_trivial
 
 
-def tower_extension_type(prime: int, sub: FiniteAbelianGroup) -> TowerExtensionType:
-    """Canonical invariant (prime, split type) of the tower extension by `sub`."""
-    return TowerExtensionType(prime, sub)
-
-
 # ---------------------------------------------------------------------------
 # Uniqueness sweeps
 
@@ -365,6 +358,21 @@ def _fail(reason: str, witness: GroupElement | None = None) -> DiagramCheck:
     return DiagramCheck(False, reason, witness)
 
 
+def _outside_multiple(
+    witness: Sequence[GroupElement], mult: int
+) -> tuple[GroupElement, int] | None:
+    """A witness generator outside mult*B and a coordinate where it fails, or None.
+
+    Membership in mult*B is coordinatewise (x_i divisible by gcd(mult, d_i)),
+    and mult*B is a subgroup, so the sub-copy lies in it iff every generator does.
+    """
+    for s in witness:
+        for i, (c, d) in enumerate(zip(s.coords, s.group.factor_orders)):
+            if c % gcd(mult, d):
+                return s, i
+    return None
+
+
 def verify_diagram(
     prime: int,
     sub: FiniteAbelianGroup,
@@ -375,13 +383,17 @@ def verify_diagram(
 ) -> DiagramCheck:
     """Check the multiplication-by-l^n identities on the truncated dual model.
 
-    B is the canonical glued extension (or `model` with its best witness);
-    its dual D carries the annihilator T of the sub-copy (the dual of the
-    cyclic-sum quotient) with quotient isomorphic to the sub.  Checks:
-    the l^n-socles of D and T have equal size, the composite from D's socle
-    to the sub is the zero map, and every element of the sub-copy in B is
-    divisible by l^m for all m up to the saturation level of the spec's
-    enumeration.  On failure the offending element is reported.
+    B is the canonical glued extension (or `model` with its best witness) and
+    S the sub-copy; its dual D = Hom(B, Q/Z) carries the annihilator T of S
+    (the dual of the cyclic-sum quotient) with D/T isomorphic to the sub.
+    Checks: every element of S is divisible by l^m in B for all m up to the
+    saturation level of the spec's enumeration, the l^n-socles of D and T
+    have equal size, and the composite from D's socle to the sub is zero.
+    Under the perfect pairing D[l^n] is the annihilator of l^n B, and
+    T[l^n] is contained in D[l^n], so the last two hold exactly when S lies
+    in l^n B; the socle sizes are read off the invariants of B and of the
+    quotient.  On failure the offending element is reported: an element of
+    S outside l^m B, or a character in D[l^n] that is non-zero on S.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -390,7 +402,6 @@ def verify_diagram(
     report = enumerate_extensions(
         TruncationSpec(spec.prime, spec.sub, spec.quotient_exponents, 0), bound
     )
-    saturation = report.saturation_level
     if model is None:
         b, witness = canonical_extension_with_witness(spec)
     else:
@@ -399,61 +410,24 @@ def verify_diagram(
         if entry is None:
             return _fail("model admits no sub-copy with the required quotient")
         witness = entry.sub_generators
-    orders = b.factor_orders
-    sub_elements = span_elements(witness, b)
 
-    # divisibility of the sub-copy inside B, up to saturation
-    for m in range(saturation + 1):
-        mult = prime ** m
-        for coords in sorted(sub_elements):
-            if not _in_multiple(coords, mult, orders):
-                return _fail(
-                    f"sub element not divisible by {prime}^{m} in the model",
-                    GroupElement(b, coords),
-                )
-
-    # dual model: same canonical group, pairing <c, x> = sum (e/d_i) c_i x_i mod e
-    if b.is_trivial:
-        return DiagramCheck(True)
-    e = b.exponent
-    weights = [e // d for d in orders]
-
-    def pairing_zero(chi: tuple[int, ...], x: tuple[int, ...]) -> bool:
-        return sum(w * c * xi for w, c, xi in zip(weights, chi, x)) % e == 0
-
-    witness_coords = [g.coords for g in witness]
-    tower_els = [
-        chi.coords
-        for chi in b.elements()
-        if all(pairing_zero(chi.coords, s) for s in witness_coords)
-    ]
-    if len(tower_els) * sub.order != b.order:
-        return _fail("annihilator of the sub-copy has the wrong size")
+    for m in range(1, report.saturation_level + 1):
+        hit = _outside_multiple(witness, prime ** m)
+        if hit is not None:
+            return _fail(f"sub element not divisible by {prime}^{m} in the model", hit[0])
 
     socle_mult = prime ** n
-    dual_socle = [
-        chi.coords
-        for chi in b.elements()
-        if all((c * socle_mult) % d == 0 for c, d in zip(chi.coords, orders))
-    ]
-    tower_set = set(tower_els)
-    tower_socle = [c for c in tower_els if all((x * socle_mult) % d == 0 for x, d in zip(c, orders))]
-    if len(dual_socle) != len(tower_socle):
-        bad = next(c for c in dual_socle if c not in tower_set)
-        return _fail(
-            f"socle sizes differ at {prime}^{n}: dual has {len(dual_socle)}, tower has {len(tower_socle)}",
-            GroupElement(b, bad),
-        )
-
-    # composite: project the dual onto its quotient by the tower and evaluate
-    tower_gens = generating_subset(tower_els, b)
-    projection = quotient_map(b, tower_gens)
-    if projection.target != sub:
-        return _fail("dual quotient is not isomorphic to the sub group")
-    for coords in dual_socle:
-        if not projection(GroupElement(b, coords)).is_zero:
-            return _fail(
-                f"composite from the {prime}^{n}-socle to the sub is non-zero",
-                GroupElement(b, coords),
-            )
-    return DiagramCheck(True)
+    hit = _outside_multiple(witness, socle_mult)
+    if hit is None:
+        return DiagramCheck(True)
+    # characters of B are coordinate vectors under <c, x> = sum (e/d_i) c_i x_i mod e;
+    # (d_i / gcd(d_i, l^n)) e_i is killed by l^n and pairs non-trivially with s
+    s, i = hit
+    d = b.factor_orders[i]
+    chi = tuple(d // gcd(d, socle_mult) if j == i else 0 for j in range(len(s.coords)))
+    dual_size = power_and_socle(b, socle_mult)[1].order
+    tower_size = power_and_socle(spec.quotient_group, socle_mult)[1].order
+    return _fail(
+        f"socle sizes differ at {prime}^{n}: dual has {dual_size}, tower has {tower_size}",
+        GroupElement(b, chi),
+    )

@@ -483,11 +483,6 @@ class GroupElement:
         return _element_order(self.coords, self.group.factor_orders)
 
 
-def is_isomorphic(g: FiniteAbelianGroup, h: FiniteAbelianGroup) -> bool:
-    """True iff the canonical primary data coincide."""
-    return g == h
-
-
 def from_relations(
     num_generators: int, relations: IntegerMatrix | Sequence[Sequence[int]]
 ) -> FiniteAbelianGroup:
@@ -625,23 +620,6 @@ def _extend_span(
 def span_elements(gens: Iterable[GroupElement], group: FiniteAbelianGroup) -> frozenset[tuple[int, ...]]:
     """Coordinate set of the subgroup generated by `gens` inside `group`."""
     return _span([g.coords for g in gens], group.factor_orders)
-
-
-def generating_subset(
-    elements: Iterable[tuple[int, ...]], group: FiniteAbelianGroup
-) -> list[GroupElement]:
-    """A small generating set for a subgroup given by its full element set."""
-    orders = group.factor_orders
-    target = set(elements)
-    gens: list[tuple[int, ...]] = []
-    spanned: frozenset[tuple[int, ...]] = frozenset({(0,) * len(orders)})
-    for x in sorted(target, key=lambda c: (-_element_order(c, orders), c)):
-        if x not in spanned:
-            gens.append(x)
-            spanned = _extend_span(spanned, x, orders)
-            if len(spanned) == len(target):
-                break
-    return [GroupElement(group, g) for g in gens]
 
 
 # ---------------------------------------------------------------------------

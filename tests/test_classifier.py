@@ -108,9 +108,9 @@ def test_types_isomorphic():
 
 
 def test_type_constants_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         GaloisAbelianType(G(2), free_rank=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         GaloisAbelianType(G(2), torsion_closure=ProfiniteDescriptor(free_rank=1))
 
 

@@ -218,6 +218,27 @@ def test_dual_malformed_document(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("free_rank", True), ("prime", 2.9), ("full_tower", "no")],
+)
+def test_dual_rejects_mistyped_fields(capsys, tmp_path, field, value):
+    doc = {
+        "kind": "profinite", "free_rank": 1, "all_primes_T": False,
+        "locals": [{"prime": 2, "local_free_rank": 0, "full_tower": False, "cyclic": []}],
+    }
+    if field == "free_rank":
+        doc[field] = value
+    else:
+        doc["locals"][0][field] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "dual", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and repr(value) in err
+
+
 # -- function fields ----------------------------------------------------------------------
 
 
@@ -257,6 +278,20 @@ def test_usage_errors(capsys):
     assert run(capsys, "classgroup", "--disc", "abc")[0] == 1
     assert run(capsys, "ffcompare", "--field", "2:12:4,3")[0] == 1
     assert run(capsys, "ffcompare", "--field", "2:12:4,3", "--field", "junk")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fftype", "--prime", "2", "--n", "12", "--js"),
+        ("compare", "--disc", "-35", "--disc", "-51", "--split", "3"),
+    ],
+)
+def test_abbreviated_options_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:")
 
 
 def test_json_outputs_are_deterministic(capsys, tmp_path):

@@ -252,6 +252,25 @@ def test_document_kinds_and_errors():
         descriptor_from_text('[1, 2]')
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind": "profinite", "free_rank": true}',
+        '{"kind": "profinite", "free_rank": 0, "all_primes_T": 1}',
+        '{"kind": "profinite", "free_rank": 0, "locals": [{"prime": 2.9}]}',
+        '{"kind": "profinite", "free_rank": 0, "locals": [{"prime": true}]}',
+        '{"kind": "profinite", "free_rank": 0, "locals": [{"prime": 2, "full_tower": "no"}]}',
+        '{"kind": "profinite", "free_rank": 0, "locals": [{"prime": 2, "local_free_rank": false}]}',
+        '{"kind": "profinite", "free_rank": 0, "locals": [{"prime": 2, "cyclic": [{"exp": 1.0, "mult": 1}]}]}',
+        '{"kind": "profinite", "free_rank": 0, "locals": [{"prime": 2, "cyclic": [{"exp": 1, "mult": true}]}]}',
+        '{"kind": "profinite", "free_rank": 0, "locals": ["x"]}',
+    ],
+)
+def test_document_types_are_strict(text):
+    with pytest.raises(FormatError):
+        descriptor_from_text(text)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from([0, 1, 2, "aleph0"]),

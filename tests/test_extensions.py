@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
 
+from galab import extensions
 from galab.errors import BoundExceeded
 from galab.extensions import (
     TowerExtensionType,
@@ -13,7 +15,6 @@ from galab.extensions import (
     canonical_extension_group,
     canonical_extension_with_witness,
     enumerate_extensions,
-    tower_extension_type,
     verify_diagram,
     verify_uniqueness,
 )
@@ -21,6 +22,7 @@ from galab.finabelian import (
     FiniteAbelianGroup,
     _in_multiple,
     quotient,
+    quotient_map,
     span_elements,
 )
 
@@ -221,17 +223,17 @@ def test_uniqueness_document():
 
 
 def test_tower_extension_type_semantics():
-    assert tower_extension_type(2, G()) == TowerExtensionType.pure_tower(2)
-    assert tower_extension_type(2, G()).is_pure_tower
-    assert tower_extension_type(2, G(2)) == tower_extension_type(2, G(2))
-    assert tower_extension_type(2, G(2)) != tower_extension_type(2, G(4))
-    assert tower_extension_type(2, G(2)) != tower_extension_type(3, G(3))
+    assert TowerExtensionType(2, G()) == TowerExtensionType.pure_tower(2)
+    assert TowerExtensionType(2, G()).is_pure_tower
+    assert TowerExtensionType(2, G(2)) == TowerExtensionType(2, G(2))
+    assert TowerExtensionType(2, G(2)) != TowerExtensionType(2, G(4))
+    assert TowerExtensionType(2, G(2)) != TowerExtensionType(3, G(3))
     with pytest.raises(ValueError):
-        tower_extension_type(2, G(3))
+        TowerExtensionType(2, G(3))
 
 
 def test_tower_extension_type_prime_distinguishes():
-    assert tower_extension_type(2, G()) != tower_extension_type(3, G())
+    assert TowerExtensionType(2, G()) != TowerExtensionType(3, G())
 
 
 # -- diagram checks --------------------------------------------------------------------
@@ -266,3 +268,82 @@ def test_diagram_consistency_guard():
         verify_diagram(3, G(2), spec(2, G(2), [1, 2]), n=1)
     with pytest.raises(ValueError):
         verify_diagram(2, G(2), spec(2, G(2), [1, 2]), n=0)
+
+
+# -- element-level dual model as the oracle of verify_diagram -------------------------
+
+
+def _dual_model_oracle(b, witness, sub, saturation, prime, n):
+    """(reason, allowed counterexamples) of the dual model, built element by element.
+
+    D is B itself under the pairing <c, x> = sum (e/d_i) c_i x_i mod e; T is
+    the annihilator of the sub-copy S and D -> D/T the projection to the sub.
+    A passing model gives (None, empty set).
+    """
+    orders = b.factor_orders
+    sub_elements = span_elements(witness, b)
+    for m in range(saturation + 1):
+        multiples = {(x * prime ** m).coords for x in b.elements()}
+        if not sub_elements <= multiples:
+            return f"sub element not divisible by {prime}^{m} in the model", sub_elements - multiples
+    if b.is_trivial:
+        return None, set()
+    e = b.exponent
+
+    def pairing(c, x):
+        return sum((e // d) * ci * xi for ci, xi, d in zip(c, x, orders)) % e
+
+    tower = {c.coords for c in b.elements() if all(pairing(c.coords, s) == 0 for s in sub_elements)}
+    assert len(tower) * sub.order == b.order
+    socle = {c.coords for c in b.elements() if (c * prime ** n).is_zero}
+    if len(socle) != len(socle & tower):
+        reason = f"socle sizes differ at {prime}^{n}: dual has {len(socle)}, tower has {len(socle & tower)}"
+        return reason, socle - tower
+    projection = quotient_map(b, [b.element(t) for t in sorted(tower)])
+    assert projection.target == sub
+    nonzero = {c for c in socle if not projection(b.element(c)).is_zero}
+    if nonzero:
+        return f"composite from the {prime}^{n}-socle to the sub is non-zero", nonzero
+    return None, set()
+
+
+def _oracle_cases():
+    exponent_lists = [
+        exps for k in (1, 2, 3) for exps in itertools.combinations((1, 2, 3), k)
+    ]
+    for sub in (G(), G(2), G(4), G(2, 2)):
+        for exps in exponent_lists:
+            yield spec(2, sub, exps)
+    yield spec(3, G(3), [1, 2])
+
+
+def test_diagram_matches_element_level_dual_model(monkeypatch):
+    reports = {}
+    enumerate_all = extensions.enumerate_extensions
+
+    def enumerate_once(s, bound=extensions.DEFAULT_ENUMERATION_BOUND):
+        if s not in reports:
+            reports[s] = enumerate_all(s, bound)
+        return reports[s]
+
+    monkeypatch.setattr(extensions, "enumerate_extensions", enumerate_once)
+    outcomes = set()
+    for s in _oracle_cases():
+        report = enumerate_once(s)
+        models = [(None, *canonical_extension_with_witness(s))] + [
+            (c.group, c.group, c.sub_generators) for c in report.classes if c.group.order <= 256
+        ]
+        for model, b, witness in models:
+            for n in (1, 2, 3):
+                check = verify_diagram(s.prime, s.sub, s, n, model=model)
+                reason, allowed = _dual_model_oracle(
+                    b, witness, s.sub, report.saturation_level, s.prime, n
+                )
+                assert check.passed == (reason is None), (s, model, n, reason)
+                assert check.reason == reason, (s, model, n)
+                if reason is not None:
+                    assert check.counterexample.group == b
+                    assert check.counterexample.coords in allowed, (s, model, n, reason)
+                outcomes.add(reason and reason.split()[0])
+    assert len(reports) == 29
+    assert outcomes == {None, "sub", "socle"}
