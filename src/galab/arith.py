@@ -1,0 +1,107 @@
+"""Deterministic primality and integer factorization.
+
+`isprime` is trial division by the primes below 1000, then the strong
+probable-prime (Miller-Rabin) test to the first 13 prime bases, which
+Sorenson & Webster (2015) prove correct for every n < PRIME_LIMIT.
+`factorint` is the same trial division, then Pollard-Brent rho (Brent 1980;
+Cohen, A Course in Computational Algebraic Number Theory, §8.5) on the
+cofactor, with every factor it returns proven prime by `isprime`.
+
+Neither function guesses: an answer that needs the primality of a number at
+or above PRIME_LIMIT with no prime factor below 1000 raises BoundExceeded.
+"""
+
+from __future__ import annotations
+
+from itertools import count
+from math import gcd
+
+from .errors import BoundExceeded
+
+# psi_13, the least strong pseudoprime to all of the bases below.
+PRIME_LIMIT = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, int(p**0.5) + 1)))
+
+
+def _strong_probable_prime(n: int, base: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def isprime(n: int) -> bool:
+    """True iff n is prime; exact, or BoundExceeded when it cannot be proven."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+        if p * p > n:
+            return True
+    if n >= PRIME_LIMIT:
+        raise BoundExceeded(
+            f"cannot prove whether {n} is prime: it has no prime factor below 1000 "
+            f"and the deterministic test covers n < {PRIME_LIMIT}"
+        )
+    return all(_strong_probable_prime(n, a) for a in _BASES)
+
+
+def _brent_factor(n: int) -> int:
+    """A proper divisor of the odd composite n (Pollard rho, Brent's cycle search)."""
+    batch = 128
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:  # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 as {prime: exponent}, primes ascending."""
+    if n < 1:
+        raise ValueError(f"factorint needs a positive integer, got {n}")
+    factors: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            factors[p] = factors.get(p, 0) + 1
+    large: dict[int, int] = {}
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if isprime(m):
+            large[m] = large.get(m, 0) + 1
+        else:
+            d = _brent_factor(m)
+            pending += [d, m // d]
+    for p in sorted(large):
+        factors[p] = large[p]
+    return factors

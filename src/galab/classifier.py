@@ -20,8 +20,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from sympy import isprime
-
+from .arith import isprime
 from .descriptors import ProfiniteDescriptor, full_tower_descriptor
 from .errors import (
     ContainmentError,

@@ -19,9 +19,8 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from sympy import isprime
-
-from .errors import FormatError, KindMismatch
+from .arith import isprime
+from .errors import BoundExceeded, FormatError, KindMismatch
 from .finabelian import FiniteAbelianGroup
 
 
@@ -66,6 +65,9 @@ class Aleph0:
 ALEPH0 = Aleph0()
 
 Card = Union[int, Aleph0]
+
+# Largest number of cyclic factors `truncate` will build.
+MAX_TRUNCATION_FACTORS = 100_000
 
 
 def card_min(a: Card, b: Card) -> Card:
@@ -299,18 +301,33 @@ def truncate(
     Each cyclic Z/l^k with k <= max_exp contributes min(mult, mult_cap)
     factors; each free unit (Z-hat, Q/Z, Z_l or Pruefer) contributes one
     factor Z/l^free_level.  Infinite free ranks saturate at mult_cap.
+    A model of more than MAX_TRUNCATION_FACTORS factors raises BoundExceeded
+    before anything is built.
     """
     if max_exp < 0 or mult_cap < 0 or free_level < 0:
         raise ValueError("truncation parameters must be non-negative")
     rec = d.local_at(prime)
-    exps: list[int] = []
-    for k in range(1, max_exp + 1):
-        count = card_min(rec.multiplicity(k), mult_cap)
-        exps.extend([k] * count)
     units: Card = d.free_rank + rec.free_rank
-    unit_count = mult_cap if isinstance(units, Aleph0) else units
-    if free_level > 0:
-        exps.extend([free_level] * unit_count)
+    if free_level == 0:
+        unit_count = 0
+    else:
+        unit_count = mult_cap if isinstance(units, Aleph0) else units
+    # Size the model before building it: the tower puts mult_cap factors at
+    # every exponent up to max_exp, however large either is.
+    if rec.full_tower:
+        blocks = ((k, mult_cap) for k in range(1, max_exp + 1 if mult_cap else 1))
+        size = max_exp * mult_cap
+    else:
+        blocks = [(k, card_min(m, mult_cap)) for k, m in rec.cyclic if k <= max_exp]
+        size = sum(count for _, count in blocks)
+    size += unit_count
+    if size > MAX_TRUNCATION_FACTORS:
+        raise BoundExceeded(
+            f"the finite model would have {size} cyclic factors; "
+            f"the limit is {MAX_TRUNCATION_FACTORS}"
+        )
+    exps = [k for k, count in blocks for _ in range(count)]
+    exps.extend([free_level] * unit_count)
     return FiniteAbelianGroup.from_prime_exponents(prime, exps)
 
 

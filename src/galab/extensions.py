@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from sympy import isprime
-
+from .arith import isprime
 from .errors import BoundExceeded
 from .finabelian import (
     FiniteAbelianGroup,

@@ -18,14 +18,13 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from sympy import factorint
-
+from .arith import factorint
 from .errors import InfiniteQuotient
 
 
 @lru_cache(maxsize=None)
 def _factor(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((int(p), int(e)) for p, e in factorint(n).items()))
+    return tuple(factorint(n).items())
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

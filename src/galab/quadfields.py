@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from sympy import factorint
-
+from .arith import factorint
 from .errors import DiscriminantMismatch, NotFundamental
 from .finabelian import FiniteAbelianGroup, _xgcd
 
@@ -248,8 +247,7 @@ def class_group(d: int | Discriminant) -> ClassGroup:
     identity = principal_form(dv)
     assert identity in forms, "principal form missing from the reduced list"
     primary: dict[int, list[int]] = {}
-    for p, e_top in sorted(factorint(h).items()):
-        p, e_top = int(p), int(e_top)
+    for p, e_top in factorint(h).items():
         socle_logs = [0]
         for k in range(1, e_top + 1):
             killed = sum(1 for f in forms if form_power(f, p ** k) == identity)

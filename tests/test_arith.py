@@ -1,0 +1,104 @@
+"""Tests for deterministic primality and factoring, with sympy as the oracle."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import galab
+from galab.arith import PRIME_LIMIT, factorint, isprime
+from galab.errors import BoundExceeded
+
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 62745]
+# least strong pseudoprimes to the first 4, 9 and 12 prime bases (psi_4, psi_9, psi_12)
+STRONG_PSEUDOPRIMES = [3215031751, 3825123056546413051, 318665857834031151167461]
+PRIMES_NEAR_1E11 = [100000000003, 100000000019, 99999999977]
+
+ADVERSARIAL = (
+    CARMICHAEL
+    + STRONG_PSEUDOPRIMES
+    + [p * p for p in (1009, 65537, 1000003, PRIMES_NEAR_1E11[0])]
+    + [p * q for p, q in zip(PRIMES_NEAR_1E11, PRIMES_NEAR_1E11[1:])]
+    + [2**61 - 1, 2**100, 3**50 * 7**2]
+)
+
+
+def test_isprime_matches_sympy_below_20000():
+    for n in range(-20, 20001):
+        assert isprime(n) == sympy.isprime(n), n
+
+
+def test_factorint_matches_sympy_below_20000():
+    for n in range(1, 20001):
+        assert factorint(n) == sympy.factorint(n), n
+
+
+@pytest.mark.parametrize("n", ADVERSARIAL)
+def test_adversarial_inputs_match_sympy(n):
+    assert isprime(n) == sympy.isprime(n)
+    assert factorint(n) == sympy.factorint(n)
+    assert list(factorint(n)) == sorted(factorint(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**24 - 1))
+def test_isprime_property(n):
+    assert isprime(n) == sympy.isprime(n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=10**24 - 1))
+def test_factorint_property(n):
+    assert factorint(n) == sympy.factorint(n)
+
+
+@pytest.mark.parametrize("n", [0, -1, -7])
+def test_factorint_rejects_non_positive(n):
+    with pytest.raises(ValueError):
+        factorint(n)
+
+
+def test_exact_just_below_the_limit():
+    p = sympy.prevprime(PRIME_LIMIT)
+    assert isprime(p)
+    assert factorint(p) == {p: 1}
+    # a composite below the limit with no factor under 10^12
+    q = sympy.prevprime(1821137154000)
+    r = sympy.prevprime(q)
+    assert q * r < PRIME_LIMIT
+    assert not isprime(q * r)
+    assert factorint(q * r) == {r: 1, q: 1}
+
+
+@pytest.mark.parametrize(
+    "n",
+    [PRIME_LIMIT, sympy.nextprime(PRIME_LIMIT), sympy.nextprime(10**12) * sympy.nextprime(10**13)],
+)
+def test_unprovable_inputs_raise_bound_exceeded(n):
+    with pytest.raises(BoundExceeded):
+        isprime(n)
+    with pytest.raises(BoundExceeded):
+        factorint(n)
+
+
+def test_decided_by_trial_division_above_the_limit():
+    assert not isprime(PRIME_LIMIT + 1)
+    assert not isprime(3 * PRIME_LIMIT)
+    assert factorint(2**200 * 997**3) == {2: 200, 997: 3}
+
+
+def test_package_import_does_not_load_sympy():
+    src = Path(galab.__file__).resolve().parents[1]
+    probe = "import sys, galab, galab.cli; print('sympy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert result.stdout.strip() == "False"

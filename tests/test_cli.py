@@ -7,7 +7,13 @@ import json
 import pytest
 
 from galab.cli import load_split_table, main
-from galab.descriptors import descriptor_to_text, prime_tower_descriptor
+from galab.descriptors import (
+    ALEPH0,
+    LocalFactors,
+    ProfiniteDescriptor,
+    descriptor_to_text,
+    prime_tower_descriptor,
+)
 from galab.errors import FormatError
 from galab.finabelian import FiniteAbelianGroup
 
@@ -211,6 +217,21 @@ def test_dual_and_truncate_cli(capsys, tmp_path):
     assert doc["group"] == "2,4"
 
 
+def test_truncate_refuses_oversized_model(capsys, tmp_path):
+    path = tmp_path / "aleph.json"
+    path.write_text(descriptor_to_text(
+        ProfiniteDescriptor(0, (LocalFactors.make(2, 0, {1: ALEPH0}),))
+    ))
+    code, out, err = run(
+        capsys,
+        "truncate", "--input", str(path),
+        "--prime", "2", "--max-exp", "1", "--cap", "1000000000", "--free-level", "0",
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_dual_malformed_document(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
@@ -254,6 +275,30 @@ def test_fftype_cli(capsys):
 def test_fftype_invalid_characteristic(capsys):
     code, _, err = run(capsys, "fftype", "--prime", "6", "--n", "2", "--class0", "1")
     assert code == 2
+
+
+def test_fftype_prime_beyond_proven_range(capsys):
+    # the least strong pseudoprime to the 13 Miller-Rabin bases: not provable here
+    code, out, err = run(
+        capsys, "fftype", "--prime", "3317044064679887385961981", "--n", "1", "--class0", "1"
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_classify_split_prime_power_literal(capsys):
+    # Z/2^100 factors by trial division alone, so it parses and fails to embed
+    code, out, err = run(
+        capsys, "classify", "--disc", "-23", "--split", str(2**100)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: split group 1267650600228229401496703205376 does not embed "
+        "into the class group 3 of -23\n"
+    )
 
 
 def test_ffcompare_cli(capsys):

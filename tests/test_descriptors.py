@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from galab.descriptors import (
     ALEPH0,
+    MAX_TRUNCATION_FACTORS,
     Aleph0,
     DiscreteTorsionDescriptor,
     LocalFactors,
@@ -26,7 +28,7 @@ from galab.descriptors import (
     prime_tower_descriptor,
     truncate,
 )
-from galab.errors import FormatError, KindMismatch
+from galab.errors import BoundExceeded, FormatError, KindMismatch
 from galab.finabelian import FiniteAbelianGroup, dual_finite, is_direct_summand_of
 
 G = FiniteAbelianGroup
@@ -210,6 +212,34 @@ def test_truncate_monotone_in_depth_and_cap():
     a = truncate(mixed, 2, 2, 1, 3)
     b = truncate(mixed, 2, 4, 5, 3)
     assert is_direct_summand_of(a, b)
+
+
+@pytest.mark.parametrize(
+    "descriptor, max_exp, cap, free_level",
+    [
+        (ProfiniteDescriptor(0, (LocalFactors.make(2, 0, {1: ALEPH0}),)), 1, 10**9, 0),
+        (prime_tower_descriptor(2), 10**9, 1, 0),
+        (full_tower_descriptor(), 10**5, 2, 0),
+        (ProfiniteDescriptor(free_rank=ALEPH0), 0, 10**9, 1),
+        (ProfiniteDescriptor(free_rank=10**9), 0, 1, 1),
+    ],
+)
+def test_truncate_refuses_oversized_models(descriptor, max_exp, cap, free_level):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceeded, match="cyclic factors"):
+            truncate(descriptor, 2, max_exp, cap, free_level)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_truncate_at_the_size_limit():
+    aleph = ProfiniteDescriptor(0, (LocalFactors.make(3, 0, {2: ALEPH0}),))
+    assert truncate(aleph, 3, 2, MAX_TRUNCATION_FACTORS, 0).rank == MAX_TRUNCATION_FACTORS
+    # a tower with nothing kept is empty however deep it is truncated
+    assert truncate(prime_tower_descriptor(2), 2, 10**12, 0, 0) == G()
 
 
 def test_truncate_infinite_free_rank_saturates():
