@@ -68,6 +68,9 @@ Card = Union[int, Aleph0]
 
 # Largest number of cyclic factors `truncate` will build.
 MAX_TRUNCATION_FACTORS = 100_000
+# Most decimal digits a factor order l^k of a finite model may have: Python's
+# default limit for converting an int to text, which group literals need.
+MAX_ORDER_DIGITS = 4300
 
 
 def card_min(a: Card, b: Card) -> Card:
@@ -301,8 +304,9 @@ def truncate(
     Each cyclic Z/l^k with k <= max_exp contributes min(mult, mult_cap)
     factors; each free unit (Z-hat, Q/Z, Z_l or Pruefer) contributes one
     factor Z/l^free_level.  Infinite free ranks saturate at mult_cap.
-    A model of more than MAX_TRUNCATION_FACTORS factors raises BoundExceeded
-    before anything is built.
+    A model of more than MAX_TRUNCATION_FACTORS factors, or with a factor
+    order of more than MAX_ORDER_DIGITS digits, raises BoundExceeded before
+    anything is built.
     """
     if max_exp < 0 or mult_cap < 0 or free_level < 0:
         raise ValueError("truncation parameters must be non-negative")
@@ -317,14 +321,26 @@ def truncate(
     if rec.full_tower:
         blocks = ((k, mult_cap) for k in range(1, max_exp + 1 if mult_cap else 1))
         size = max_exp * mult_cap
+        top = max_exp if mult_cap else 0
     else:
         blocks = [(k, card_min(m, mult_cap)) for k, m in rec.cyclic if k <= max_exp]
         size = sum(count for _, count in blocks)
+        top = max((k for k, count in blocks if count), default=0)
     size += unit_count
+    if unit_count:
+        top = max(top, free_level)
     if size > MAX_TRUNCATION_FACTORS:
         raise BoundExceeded(
             f"the finite model would have {size} cyclic factors; "
             f"the limit is {MAX_TRUNCATION_FACTORS}"
+        )
+    # l^top has more than MAX_ORDER_DIGITS digits iff l^top >= 10^MAX_ORDER_DIGITS;
+    # l^top >= 2^(top * (bits - 1)) settles large exponents without the power
+    bits = prime.bit_length()
+    if top * (bits - 1) > 4 * MAX_ORDER_DIGITS or prime ** top >= 10 ** MAX_ORDER_DIGITS:
+        raise BoundExceeded(
+            f"the finite model's largest factor {prime}^{top} would have more than "
+            f"{MAX_ORDER_DIGITS} digits"
         )
     exps = [k for k, count in blocks for _ in range(count)]
     exps.extend([free_level] * unit_count)

@@ -4,10 +4,12 @@ The questions here concern extensions 0 -> A -> B -> C_1 + C_2 + ... -> 0 of
 a growing sum of cyclic l-groups by a fixed finite l-group A, where A must
 consist of the divisible elements of B.  Infinitely many cyclic summands
 cannot be enumerated, so the divisibility condition is replaced by the
-parametric constraint "A sits inside l^m B" and m is swept upward until no
-candidate survives (the saturation level).  Enumeration is exhaustive over
+parametric constraint "A sits inside l^m B"; the largest m at which any
+candidate survives is the saturation level.  Enumeration is exhaustive over
 all abelian l-groups of the forced order, so at this scale the reports are
-ground truth rather than heuristics.
+ground truth rather than heuristics.  Each candidate B costs one subgroup
+search: every copy of A in B is found once, gets the largest m with the copy
+inside l^m B, and B survives up to the deepest copy with the right quotient.
 """
 
 from __future__ import annotations
@@ -130,29 +132,42 @@ def _exponent_exp(g: FiniteAbelianGroup, prime: int) -> int:
     return exps[0] if exps else 0
 
 
-def _find_witness(
-    b: FiniteAbelianGroup,
-    spec: TruncationSpec,
-    level: int,
-) -> tuple[GroupElement, ...] | None:
-    """A generating set of a sub-copy of spec.sub inside l^level*B with the right quotient."""
-    c_group = spec.quotient_group
-    for gens in subgroups_isomorphic_to(b, spec.sub, within=spec.prime ** level):
-        if quotient(b, gens) == c_group:
-            return tuple(gens)
+def _outside_multiple(
+    witness: Sequence[GroupElement], mult: int
+) -> tuple[GroupElement, int] | None:
+    """A witness generator outside mult*B and a coordinate where it fails, or None.
+
+    Membership in mult*B is coordinatewise (x_i divisible by gcd(mult, d_i)),
+    and mult*B is a subgroup, so the sub-copy lies in it iff every generator does.
+    """
+    for s in witness:
+        for i, (c, d) in enumerate(zip(s.coords, s.group.factor_orders)):
+            if c % gcd(mult, d):
+                return s, i
     return None
 
 
 def _max_survival(b: FiniteAbelianGroup, spec: TruncationSpec) -> tuple[int, tuple[GroupElement, ...]] | None:
     """Highest m at which B survives, with a witness there (None if never).
 
-    Survival is downward-closed in m, so the search descends from the
-    exponent of B and stops at the first success.
+    One subgroup search: each copy S of the sub gets its depth, the largest
+    m <= exp(B) with S inside l^m B.  The copies are tested in order of
+    decreasing depth, canonical order kept within a depth, so the first with
+    B/S isomorphic to the quotient sum sits at the highest surviving level.
+    It is also the witness a search restricted to l^m B finds first, since
+    every generator of a copy inside l^m B lies in l^m B.
     """
-    for m in range(_exponent_exp(b, spec.prime), -1, -1):
-        witness = _find_witness(b, spec, m)
-        if witness is not None:
-            return m, witness
+    l = spec.prime
+    top = _exponent_exp(b, l)
+    copies = []
+    for gens in subgroups_isomorphic_to(b, spec.sub):
+        depth = next(m for m in range(top, -1, -1) if _outside_multiple(gens, l ** m) is None)
+        copies.append((depth, gens))
+    copies.sort(key=lambda t: -t[0])  # stable: canonical order within a depth
+    c_group = spec.quotient_group
+    for depth, gens in copies:
+        if quotient(b, gens) == c_group:
+            return depth, tuple(gens)
     return None
 
 
@@ -173,12 +188,8 @@ def enumerate_extensions(
             f"search space of order {total} exceeds the enumeration bound {bound}"
         )
     l = spec.prime
-    e_total = 0
-    t = total
-    while t > 1:
-        t //= l
-        e_total += 1
     a = spec.sub
+    e_total = sum(a.exponents_at(l)) + sum(spec.quotient_exponents)
     c_group = spec.quotient_group
     rank_cap = a.rank + c_group.rank
     exp_cap = _exponent_exp(a, l) + _exponent_exp(c_group, l)
@@ -355,21 +366,6 @@ class DiagramCheck:
 
 def _fail(reason: str, witness: GroupElement | None = None) -> DiagramCheck:
     return DiagramCheck(False, reason, witness)
-
-
-def _outside_multiple(
-    witness: Sequence[GroupElement], mult: int
-) -> tuple[GroupElement, int] | None:
-    """A witness generator outside mult*B and a coordinate where it fails, or None.
-
-    Membership in mult*B is coordinatewise (x_i divisible by gcd(mult, d_i)),
-    and mult*B is a subgroup, so the sub-copy lies in it iff every generator does.
-    """
-    for s in witness:
-        for i, (c, d) in enumerate(zip(s.coords, s.group.factor_orders)):
-            if c % gcd(mult, d):
-                return s, i
-    return None
 
 
 def verify_diagram(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -582,29 +582,10 @@ def _element_order(coords: tuple[int, ...], orders: tuple[int, ...]) -> int:
     return o
 
 
-def _in_multiple(coords: tuple[int, ...], n: int, orders: tuple[int, ...]) -> bool:
-    """Membership in n*G is coordinatewise: x_i must be divisible by gcd(n, d_i)."""
-    return all(c % gcd(n, d) == 0 for c, d in zip(coords, orders))
-
-
-def _span(gens: Iterable[tuple[int, ...]], orders: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    zero = (0,) * len(orders)
-    seen = {zero}
-    stack = [zero]
-    gens = list(gens)
-    while stack:
-        x = stack.pop()
-        for g in gens:
-            y = _add(x, g, orders)
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return frozenset(seen)
-
-
 def _extend_span(
     current: frozenset[tuple[int, ...]], g: tuple[int, ...], orders: tuple[int, ...]
 ) -> frozenset[tuple[int, ...]]:
+    """The span of a subgroup `current` and one more element g."""
     seen = set(current)
     stack = list(current)
     while stack:
@@ -618,7 +599,8 @@ def _extend_span(
 
 def span_elements(gens: Iterable[GroupElement], group: FiniteAbelianGroup) -> frozenset[tuple[int, ...]]:
     """Coordinate set of the subgroup generated by `gens` inside `group`."""
-    return _span([g.coords for g in gens], group.factor_orders)
+    orders = group.factor_orders
+    return reduce(lambda s, g: _extend_span(s, g.coords, orders), gens, frozenset({(0,) * len(orders)}))
 
 
 # ---------------------------------------------------------------------------
@@ -628,12 +610,10 @@ def span_elements(gens: Iterable[GroupElement], group: FiniteAbelianGroup) -> fr
 def subgroups_isomorphic_to(
     g: FiniteAbelianGroup,
     a: FiniteAbelianGroup,
-    within: int | None = None,
 ) -> list[list[GroupElement]]:
     """All subgroups of G isomorphic to A, each as a generating set.
 
-    With `within=n` only subgroups contained in n*G are returned.  The list
-    is duplicate-free (by element set) and deterministically ordered.
+    The list is duplicate-free (by element set) and deterministically ordered.
     """
     if a.is_trivial:
         return [[]]
@@ -642,7 +622,7 @@ def subgroups_isomorphic_to(
     orders = g.factor_orders
     per_prime: list[list[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]]] = []
     for p in a.primes:
-        found = _l_subgroups(g, p, a.exponents_at(p), within)
+        found = _l_subgroups(g, p, a.exponents_at(p))
         if not found:
             return []
         per_prime.append(found)
@@ -663,7 +643,6 @@ def _l_subgroups(
     g: FiniteAbelianGroup,
     prime: int,
     target_exps: tuple[int, ...],
-    within: int | None,
 ) -> list[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]]:
     """Subgroups of the l-part of G isomorphic to the l-group with `target_exps`.
 
@@ -682,8 +661,6 @@ def _l_subgroups(
         for i, c in zip(l_idx, block):
             coords[i] = c
         coords = tuple(coords)
-        if within is not None and not _in_multiple(coords, within, orders):
-            continue
         o = _element_order(coords, orders)
         f = 0
         while o > 1:
@@ -804,7 +781,7 @@ class Homomorphism:
         return all(all(c == 0 for c in img) for img in self.images)
 
     def image_elements(self) -> frozenset[tuple[int, ...]]:
-        return _span(self.images, self.target.factor_orders)
+        return span_elements((GroupElement(self.target, c) for c in self.images), self.target)
 
     def kernel_elements(self) -> frozenset[tuple[int, ...]]:
         """Brute-force kernel; meant for truncation-scale groups only."""

@@ -13,8 +13,11 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .arith import factorint
-from .errors import DiscriminantMismatch, NotFundamental
+from .errors import BoundExceeded, DiscriminantMismatch, NotFundamental
 from .finabelian import FiniteAbelianGroup, _xgcd
+
+# Largest |D| whose reduced forms are enumerated; the work grows like |D|.
+MAX_ENUMERATED_DISCRIMINANT = 10 ** 10
 
 
 def _squarefree(n: int) -> bool:
@@ -117,9 +120,15 @@ def reduced_forms(d: int | Discriminant) -> list[BinaryQuadraticForm]:
 
     Enumerates b with b = D mod 2 and b^2 <= |D|/3, splits (b^2 - D)/4 into
     a*c with b <= a <= c, and keeps (a, -b, c) only away from the boundary
-    edge cases.  The count is the class number.
+    edge cases.  The count is the class number.  |D| above
+    MAX_ENUMERATED_DISCRIMINANT raises BoundExceeded before any enumeration.
     """
     dv = _require_fundamental(_disc_value(d))
+    if -dv > MAX_ENUMERATED_DISCRIMINANT:
+        raise BoundExceeded(
+            f"|D| = {-dv} exceeds {MAX_ENUMERATED_DISCRIMINANT}, the largest "
+            "discriminant whose reduced forms are enumerated"
+        )
     out = []
     for b in range(dv % 2, isqrt(-dv // 3) + 1, 2):
         m = (b * b - dv) // 4

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -52,6 +53,26 @@ def test_classgroup_rejects_non_fundamental(capsys):
     code, _, err = run(capsys, "classgroup", "--disc", "-12")
     assert code == 2
     assert "fundamental" in err
+
+
+LARGE_DISC = "-1590897978359414787"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classgroup", "--disc", LARGE_DISC),
+        ("classify", "--disc", LARGE_DISC),
+        ("compare", "--disc", "-35", "--disc", LARGE_DISC),
+    ],
+)
+def test_large_discriminant_refused(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # -- classify and compare -----------------------------------------------------------
@@ -167,6 +188,17 @@ def test_batch_with_errors_reports_and_fails(capsys, tmp_path):
     assert doc["errors"][0]["discriminant"] == -4
 
 
+def test_batch_reports_large_discriminant(capsys, tmp_path):
+    path = tmp_path / "large.txt"
+    path.write_text(f"-35\n{LARGE_DISC}\n")
+    code, doc, _ = run_json(capsys, "batch", "--input", str(path))
+    assert code == 4
+    assert [c["discriminants"] for c in doc["cells"]] == [[-35]]
+    assert [(e["discriminant"], e["error"]) for e in doc["errors"]] == [
+        (int(LARGE_DISC), "BoundExceeded")
+    ]
+
+
 def test_batch_bad_file(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("-35\nzebra\n")
@@ -230,6 +262,29 @@ def test_truncate_refuses_oversized_model(capsys, tmp_path):
     assert code == 4
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "descriptor, prime, max_exp, free_level",
+    [
+        (ProfiniteDescriptor(1), 2, 1, 20000),
+        (prime_tower_descriptor(2), 2, 20000, 0),
+        (ProfiniteDescriptor(1), 3, 1, 10**9),
+    ],
+)
+def test_truncate_refuses_oversized_orders(capsys, tmp_path, descriptor, prime, max_exp, free_level):
+    path = tmp_path / "model.json"
+    path.write_text(descriptor_to_text(descriptor))
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "truncate", "--input", str(path), "--prime", str(prime), "--max-exp", str(max_exp),
+        "--cap", "1", "--free-level", str(free_level),
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "digits" in err
 
 
 def test_dual_malformed_document(capsys, tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from galab.descriptors import (
     ALEPH0,
+    MAX_ORDER_DIGITS,
     MAX_TRUNCATION_FACTORS,
     Aleph0,
     DiscreteTorsionDescriptor,
@@ -240,6 +241,18 @@ def test_truncate_at_the_size_limit():
     assert truncate(aleph, 3, 2, MAX_TRUNCATION_FACTORS, 0).rank == MAX_TRUNCATION_FACTORS
     # a tower with nothing kept is empty however deep it is truncated
     assert truncate(prime_tower_descriptor(2), 2, 10**12, 0, 0) == G()
+
+
+def test_truncate_at_the_order_digit_limit():
+    # 2^14284 has 4300 digits, 2^14285 has 4301
+    assert len(str(2 ** 14284)) == MAX_ORDER_DIGITS
+    free = ProfiniteDescriptor(1)
+    assert truncate(free, 2, 0, 0, 14284) == G(2 ** 14284)
+    cyclic = ProfiniteDescriptor(0, (LocalFactors.make(2, 0, {14284: 1, 14285: 1}),))
+    assert truncate(cyclic, 2, 14284, 1, 0) == G(2 ** 14284)
+    for d, max_exp, free_level in ((free, 0, 14285), (cyclic, 14285, 0)):
+        with pytest.raises(BoundExceeded, match="digits"):
+            truncate(d, 2, max_exp, 1, free_level)
 
 
 def test_truncate_infinite_free_rank_saturates():

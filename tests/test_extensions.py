@@ -20,10 +20,11 @@ from galab.extensions import (
 )
 from galab.finabelian import (
     FiniteAbelianGroup,
-    _in_multiple,
+    abelian_groups_of_order,
     quotient,
     quotient_map,
     span_elements,
+    subgroups_isomorphic_to,
 )
 
 G = FiniteAbelianGroup
@@ -95,8 +96,8 @@ def test_counts_monotone_and_witness_soundness():
             els = span_elements(cls.sub_generators, cls.group)
             # witness re-verification: S = sub, S in l^m B, B/S = quotient sum
             assert len(els) == s.sub.order
-            mult = s.prime ** cls.max_level
-            assert all(_in_multiple(x, mult, cls.group.factor_orders) for x in els)
+            multiples = {(x * s.prime ** cls.max_level).coords for x in cls.group.elements()}
+            assert els <= multiples
             assert quotient(cls.group, list(cls.sub_generators)) == s.quotient_group
             assert cls.quotient_form == s.quotient_group
 
@@ -155,6 +156,62 @@ def test_enumerated_classes_are_self_dual():
     for s in [spec(2, G(2), [1, 2]), spec(2, G(2, 2), [1, 2, 3]), spec(3, G(3), [1, 2])]:
         for cls in enumerate_extensions(s).classes:
             assert dual_finite(cls.group) == cls.group
+
+
+# -- single-pass survival level against the per-level search ----------------------
+
+
+def _per_level_survival(b, s, subgroups_isomorphic_to=subgroups_isomorphic_to, quotient=quotient):
+    """For m from exp(B) down, the first copy of the sub inside l^m B with B/S = C."""
+    copies = subgroups_isomorphic_to(b, s.sub)
+    for m in range(max(b.exponents_at(s.prime), default=0), -1, -1):
+        multiples = {(x * s.prime ** m).coords for x in b.elements()}
+        for gens in copies:
+            if all(g.coords in multiples for g in gens) and quotient(b, gens) == s.quotient_group:
+                return m, [g.coords for g in gens]
+    return None
+
+
+def _survival_cases():
+    exponent_lists = [
+        exps for k in (1, 2, 3) for exps in itertools.combinations((1, 2, 3), k)
+    ]
+    for sub in (G(), G(2), G(4), G(2, 2), G(2, 4)):
+        for exps in exponent_lists:
+            yield spec(2, sub, exps)
+    for sub in (G(3), G(3, 3)):
+        yield spec(3, sub, [1, 2])
+
+
+def test_max_survival_matches_per_level_search(monkeypatch):
+    # both searches test the same copies of the sub: find and test each one once
+    seen = {}
+
+    def once(f):
+        def cached(b, arg):
+            key = (f, b, arg if isinstance(arg, FiniteAbelianGroup) else tuple(g.coords for g in arg))
+            if key not in seen:
+                seen[key] = f(b, arg)
+            return seen[key]
+
+        return cached
+
+    searches = once(subgroups_isomorphic_to), once(quotient)
+    monkeypatch.setattr(extensions, "subgroups_isomorphic_to", searches[0])
+    monkeypatch.setattr(extensions, "quotient", searches[1])
+    levels = set()
+    checked = 0
+    for s in _survival_cases():
+        if s.total_order > 256:
+            continue
+        for b in abelian_groups_of_order(s.total_order):
+            hit = extensions._max_survival(b, s)
+            got = None if hit is None else (hit[0], [g.coords for g in hit[1]])
+            assert got == _per_level_survival(b, s, *searches), (s, b)
+            levels.add(got[0] if got else None)
+            checked += 1
+    assert checked == 303
+    assert levels == {None, 0, 1, 2, 3}
 
 
 # -- canonical construction -------------------------------------------------------

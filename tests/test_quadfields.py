@@ -7,7 +7,8 @@ from math import isqrt
 
 import pytest
 
-from galab.errors import DiscriminantMismatch, NotFundamental
+from galab import quadfields
+from galab.errors import BoundExceeded, DiscriminantMismatch, NotFundamental
 from galab.finabelian import FiniteAbelianGroup
 from galab.quadfields import (
     BinaryQuadraticForm,
@@ -86,6 +87,17 @@ def test_reduced_forms_frozen_examples():
 def test_reduced_forms_rejects_non_fundamental():
     with pytest.raises(NotFundamental):
         reduced_forms(-12)
+
+
+def test_enumeration_refuses_large_discriminants(monkeypatch):
+    monkeypatch.setattr(quadfields, "MAX_ENUMERATED_DISCRIMINANT", 23)
+    assert class_group(-23).order == 3
+    for enumerate_forms in (class_group, class_number, reduced_forms):
+        with pytest.raises(BoundExceeded, match="24"):
+            enumerate_forms(-24)
+    # the fundamental check comes first
+    with pytest.raises(NotFundamental):
+        class_group(-28)
 
 
 def test_reduced_forms_match_brute_force_oracle():
