@@ -97,32 +97,6 @@ class IntegerMatrix:
                 out.append(sum(a[i][k] * b[k][j] for k in range(self.cols)))
         return IntegerMatrix(self.rows, other.cols, tuple(out))
 
-    def det(self) -> int:
-        """Exact determinant via fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.row_lists()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.row_lists())
 
@@ -779,13 +753,6 @@ class Homomorphism:
     @property
     def is_zero(self) -> bool:
         return all(all(c == 0 for c in img) for img in self.images)
-
-    def image_elements(self) -> frozenset[tuple[int, ...]]:
-        return span_elements((GroupElement(self.target, c) for c in self.images), self.target)
-
-    def kernel_elements(self) -> frozenset[tuple[int, ...]]:
-        """Brute-force kernel; meant for truncation-scale groups only."""
-        return frozenset(x.coords for x in self.source.elements() if self(x).is_zero)
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,29 @@
 """Imaginary quadratic field arithmetic via binary quadratic forms.
 
 Reduced positive-definite forms of a fundamental discriminant represent the
-ideal classes of the maximal order; composition is computed by multiplying
-the corresponding ideals (an exact 2-column lattice reduction) and reducing
-the resulting form.  The class group structure is then read off the
-composition table by counting element orders prime by prime.
+ideal classes of the maximal order.  They are listed from the square roots
+of D modulo 4a for each admissible a (Tonelli-Shanks, Hensel lifting and
+CRT; Cohen, A Course in Computational Algebraic Number Theory, §1.5 and
+§5.3), so the listing costs about sqrt|D| steps.  Composition is computed by
+multiplying the corresponding ideals (an exact 2-column lattice reduction)
+and reducing the resulting form.  The class group structure is read off
+each Sylow p-subgroup, spanned by the images of f -> f^(h/p^e), which holds
+only p^e classes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import factorint
+from .arith import factorint, sqrt_mod
 from .errors import BoundExceeded, DiscriminantMismatch, NotFundamental
 from .finabelian import FiniteAbelianGroup, _xgcd
 
-# Largest |D| whose reduced forms are enumerated; the work grows like |D|.
+# Largest |D| whose reduced forms are enumerated.  The listing takes about
+# sqrt|D| steps, but h, the number of forms held and printed, can reach
+# about sqrt|D| log|D|.
 MAX_ENUMERATED_DISCRIMINANT = 10 ** 10
 
 
@@ -115,13 +122,28 @@ def reduce_form(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(a, b, c)
 
 
-def reduced_forms(d: int | Discriminant) -> list[BinaryQuadraticForm]:
-    """The complete list of reduced forms of a fundamental discriminant.
+def _smallest_prime_factors(n: int) -> list[int]:
+    """spf[m] is the smallest prime factor of m, for 2 <= m <= n."""
+    spf = list(range(n + 1))
+    # descending, so each multiple keeps the smallest p with p^2 <= m dividing it
+    for p in range(isqrt(n), 1, -1):
+        spf[p * p :: p] = [p] * len(range(p * p, n + 1, p))
+    return spf
 
-    Enumerates b with b = D mod 2 and b^2 <= |D|/3, splits (b^2 - D)/4 into
-    a*c with b <= a <= c, and keeps (a, -b, c) only away from the boundary
-    edge cases.  The count is the class number.  |D| above
-    MAX_ENUMERATED_DISCRIMINANT raises BoundExceeded before any enumeration.
+
+def reduced_forms(d: int | Discriminant) -> list[BinaryQuadraticForm]:
+    """The complete list of reduced forms of a fundamental discriminant, sorted.
+
+    A reduced form (a, b, c) has a <= sqrt(|D|/3) and -a < b <= a with
+    b^2 = D (mod 4a), and these b are one period of the square roots of D
+    modulo 4a, read as residues mod 2a.  Each a is factored with a
+    smallest-prime-factor sieve; the roots modulo its odd prime powers come
+    from `sqrt_mod` (an odd p | D gives the root 0, and only to the first
+    power, since D is fundamental), its 2-part from roots lifted bit by bit,
+    and CRT joins them.  c = (b^2 - D)/4a, and (a, b, c) is kept when it is
+    reduced.  The work grows like sqrt|D|, the count is the class number.
+    |D| above MAX_ENUMERATED_DISCRIMINANT raises BoundExceeded before any
+    enumeration.
     """
     dv = _require_fundamental(_disc_value(d))
     if -dv > MAX_ENUMERATED_DISCRIMINANT:
@@ -129,16 +151,42 @@ def reduced_forms(d: int | Discriminant) -> list[BinaryQuadraticForm]:
             f"|D| = {-dv} exceeds {MAX_ENUMERATED_DISCRIMINANT}, the largest "
             "discriminant whose reduced forms are enumerated"
         )
+    amax = isqrt(-dv // 3)
+    spf = _smallest_prime_factors(amax)
+    # two_roots[v]: the b mod 2^(v+1) with b^2 = D (mod 2^(v+2))
+    two_roots = [[dv % 2]]
+    odd_roots: dict[int, list[int]] = {}  # p^k -> roots of D mod p^k
     out = []
-    for b in range(dv % 2, isqrt(-dv // 3) + 1, 2):
-        m = (b * b - dv) // 4
-        for a in range(max(b, 1), isqrt(m) + 1):
-            if m % a:
+    for a in range(1, amax + 1):
+        v = (a & -a).bit_length() - 1
+        while len(two_roots) <= v:
+            u = len(two_roots)
+            two_roots.append([
+                r for s in two_roots[-1] for r in (s, s + (1 << u))
+                if (r * r - dv) % (1 << (u + 2)) == 0
+            ])
+        residues, modulus = two_roots[v], 2 << v
+        rest = a >> v
+        while rest > 1 and residues:
+            p, k = spf[rest], 0
+            while rest % p == 0:
+                rest, k = rest // p, k + 1
+            q = p**k
+            if q not in odd_roots:
+                if dv % p:
+                    odd_roots[q] = sqrt_mod(dv, p, k)
+                else:  # b = 0 mod p, and p^2 does not divide the fundamental D
+                    odd_roots[q] = [0] if k == 1 else []
+            roots = odd_roots[q]
+            inv = pow(modulus, -1, q)
+            residues = [r + modulus * ((s - r) * inv % q) for r in residues for s in roots]
+            modulus *= q
+        for r in residues:
+            b = r if r <= a else r - 2 * a  # so -a < b <= a
+            c = (b * b - dv) // (4 * a)
+            if c < a or (b < 0 and a == c):
                 continue
-            c = m // a
             out.append(BinaryQuadraticForm(a, b, c))
-            if 0 < b < a < c:
-                out.append(BinaryQuadraticForm(a, -b, c))
     out.sort(key=lambda f: (f.a, f.b, f.c))
     return out
 
@@ -247,8 +295,13 @@ class ClassGroup:
 def class_group(d: int | Discriminant) -> ClassGroup:
     """Class group of a fundamental discriminant, structure included.
 
-    The primary structure is recovered from element orders: the number of
-    classes killed by p^k determines the socle filtration of the p-part.
+    For each p^e exactly dividing h, f -> f^(h/p^e) maps the class group onto
+    its Sylow p-subgroup S, so the images of the forms, taken in sorted order
+    until they span p^e classes, generate S.  The p-part is read off the
+    sizes |p^k S| = |S| / |S[p^k]|, where p^k S is spanned by the p^k-th
+    powers of those generators.  Composition is checked on the way: the span
+    must reach exactly p^e, every socle count must be a power of p, and the
+    structure's order must be h; otherwise ArithmeticError.
     """
     dv = _require_fundamental(_disc_value(d))
     forms = reduced_forms(dv)
@@ -256,27 +309,65 @@ def class_group(d: int | Discriminant) -> ClassGroup:
     identity = principal_form(dv)
     assert identity in forms, "principal form missing from the reduced list"
     primary: dict[int, list[int]] = {}
-    for p, e_top in factorint(h).items():
-        socle_logs = [0]
-        for k in range(1, e_top + 1):
-            killed = sum(1 for f in forms if form_power(f, p ** k) == identity)
-            log = 0
-            while p ** log < killed:
-                log += 1
-            if p ** log != killed:
-                raise ArithmeticError("socle count is not a prime power; composition is broken")
-            socle_logs.append(log)
-        # factors with exponent >= k number socle_logs[k] - socle_logs[k-1]
-        at_least = [socle_logs[k] - socle_logs[k - 1] for k in range(1, e_top + 1)]
-        at_least.append(0)
-        exps: list[int] = []
-        for k in range(1, e_top + 1):
-            exps.extend([k] * (at_least[k - 1] - at_least[k]))
-        primary[p] = exps
+    for p, e in factorint(h).items():
+        q = p**e
+        sylow, gens = _span((form_power(f, h // q) for f in forms), identity, q)
+        if len(sylow) != q:
+            raise ArithmeticError("Sylow span falls short of its order; composition is broken")
+        primary[p] = _p_group_exponents(gens, identity, p, e)
     structure = FiniteAbelianGroup._from_primary(primary)
     if structure.order != h:
         raise ArithmeticError("structure order disagrees with the class number")
     return ClassGroup(dv, tuple(forms), structure)
+
+
+def _span(
+    gens: Iterable[BinaryQuadraticForm], identity: BinaryQuadraticForm, order: int
+) -> tuple[list[BinaryQuadraticForm], list[BinaryQuadraticForm]]:
+    """The classes spanned by gens, grown coset by coset, and the gens that grew it.
+
+    Stops taking gens once the span has `order` classes, and raises
+    ArithmeticError if it outgrows that.
+    """
+    elements, members, used = [identity], {identity}, []
+    for g in gens:
+        span = elements[:]
+        power = g
+        while power not in members:
+            coset = [power] + [compose(power, x) for x in span[1:]]
+            elements += coset
+            members.update(coset)
+            if len(elements) > order:
+                raise ArithmeticError("span outgrows its group order; composition is broken")
+            power = compose(power, g)
+        if len(elements) > len(span):
+            used.append(g)
+        if len(elements) == order:
+            break
+    return elements, used
+
+
+def _p_group_exponents(
+    gens: list[BinaryQuadraticForm], identity: BinaryQuadraticForm, p: int, e: int
+) -> list[int]:
+    """Cyclic exponents, ascending, of the p-group S of order p^e that gens span."""
+    # logs[k] = log_p |p^k S|; the factors with exponent > k number logs[k] - logs[k+1]
+    logs = [e]
+    while logs[-1]:
+        gens = [form_power(g, p) for g in gens]
+        # p^k S is a proper subgroup of p^(k-1) S, so at most p^(logs[-1] - 1) classes
+        layer, gens = _span(gens, identity, p ** (logs[-1] - 1))
+        log = 0
+        while p**log < len(layer):
+            log += 1
+        if p**log != len(layer):
+            raise ArithmeticError("socle count is not a power of p; composition is broken")
+        logs.append(log)
+    above = [logs[k] - logs[k + 1] for k in range(len(logs) - 1)] + [0]
+    exps: list[int] = []
+    for k in range(1, len(logs)):
+        exps.extend([k] * (above[k - 1] - above[k]))
+    return exps
 
 
 def fundamental_discriminants(bound: int) -> list[int]:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import galab
-from galab.arith import PRIME_LIMIT, factorint, isprime
+from galab.arith import PRIME_LIMIT, factorint, isprime, sqrt_mod
 from galab.errors import BoundExceeded
 
 CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 62745]
@@ -91,6 +91,49 @@ def test_decided_by_trial_division_above_the_limit():
     assert not isprime(PRIME_LIMIT + 1)
     assert not isprime(3 * PRIME_LIMIT)
     assert factorint(2**200 * 997**3) == {2: 200, 997: 3}
+
+
+def test_sqrt_mod_matches_brute_force_for_small_primes():
+    for p in sympy.primerange(3, 500):
+        roots: dict[int, list[int]] = {}
+        for x in range(p):
+            roots.setdefault(x * x % p, []).append(x)
+        for n in range(p):
+            assert sqrt_mod(n, p) == roots.get(n, []), (n, p)
+
+
+# p - 1 = 2^s * q with s = 23, 25, 30, 16 and 32: Tonelli-Shanks takes up to s steps
+LARGE_TWO_ADIC_PRIMES = [998244353, 167772161, 3 * 2**30 + 1, 65537, 2**64 - 2**32 + 1]
+
+
+@pytest.mark.parametrize("p", LARGE_TWO_ADIC_PRIMES)
+def test_sqrt_mod_large_two_adic_primes(p):
+    assert isprime(p)
+    for n in list(range(1, 200)) + [p - 1, p - 2, (p - 1) // 2]:
+        roots = sqrt_mod(n, p)
+        assert len(roots) == (2 if sympy.legendre_symbol(n % p, p) == 1 else 0), n
+        assert roots == sorted(roots)
+        assert all(x * x % p == n % p for x in roots)
+
+
+@pytest.mark.parametrize("p,k", [(3, 9), (5, 6), (7, 5), (11, 4), (8191, 3), (998244353, 3)])
+def test_sqrt_mod_hensel_lifts(p, k):
+    q = p**k
+    for n in range(1, 300):
+        if n % p == 0:
+            continue
+        roots = sqrt_mod(n, p, k)
+        assert len(roots) == len(sqrt_mod(n, p))
+        assert all(0 <= x < q and (x * x - n) % q == 0 for x in roots)
+        assert sorted({x % p for x in roots}) == sqrt_mod(n, p)
+
+
+def test_sqrt_mod_rejects_unsupported_moduli():
+    with pytest.raises(ValueError):
+        sqrt_mod(3, 2)
+    with pytest.raises(ValueError):
+        sqrt_mod(9, 3, 2)
+    assert sqrt_mod(9, 3) == [0]
 
 
 def test_package_import_does_not_load_sympy():

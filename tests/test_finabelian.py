@@ -6,6 +6,7 @@ import itertools
 from math import gcd, prod
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +75,18 @@ def snf_diagonal_oracle(rows):
     return tuple(diag)
 
 
+def det(m: IntegerMatrix) -> int:
+    return int(sympy.Matrix(m.row_lists()).det()) if m.rows else 1
+
+
+def image_elements(f: Homomorphism) -> frozenset[tuple[int, ...]]:
+    return span_elements((GroupElement(f.target, c) for c in f.images), f.target)
+
+
+def kernel_elements(f: Homomorphism) -> frozenset[tuple[int, ...]]:
+    return frozenset(x.coords for x in f.source.elements() if f(x).is_zero)
+
+
 def hom_order_oracle(g: FiniteAbelianGroup, h: FiniteAbelianGroup) -> int:
     """Count generator-image assignments directly: one killed image set per factor."""
     count = 1
@@ -89,8 +102,8 @@ def _check_snf(rows):
     m = IntegerMatrix.from_rows(rows)
     s, u, v = smith_normal_form(m)
     assert (u @ m) @ v == s
-    assert u.det() in (-1, 1)
-    assert v.det() in (-1, 1)
+    assert det(u) in (-1, 1)
+    assert det(v) in (-1, 1)
     d = s.diagonal()
     assert all(x >= 0 for x in d)
     for a, b in zip(d, d[1:]):
@@ -452,7 +465,7 @@ def test_homomorphism_image_kernel_bookkeeping():
         Homomorphism.identity(G(8, 3)),
     ]
     for f in cases:
-        assert len(f.image_elements()) * len(f.kernel_elements()) == f.source.order
+        assert len(image_elements(f)) * len(kernel_elements(f)) == f.source.order
 
 
 def test_quotient_map_kernel_is_span():
@@ -462,7 +475,7 @@ def test_quotient_map_kernel_is_span():
     coords[idx4] = 2
     s = [g.element(coords)]
     pi = quotient_map(g, s)
-    assert pi.kernel_elements() == span_elements(s, g)
+    assert kernel_elements(pi) == span_elements(s, g)
     assert pi.target.order * len(span_elements(s, g)) == g.order
 
 

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import random
 from math import isqrt
 
 import pytest
+from sympy import primefactors
 
 from galab import quadfields
+from galab.arith import factorint
 from galab.errors import BoundExceeded, DiscriminantMismatch, NotFundamental
 from galab.finabelian import FiniteAbelianGroup
 from galab.quadfields import (
     BinaryQuadraticForm,
+    ClassGroup,
     Discriminant,
     class_group,
     class_number,
@@ -44,6 +48,56 @@ def brute_force_reduced_forms(d: int) -> set[tuple[int, int, int]]:
                 continue
             out.add((a, b, c))
     return out
+
+
+def trial_division_forms(d: int) -> list[BinaryQuadraticForm]:
+    """Oracle: split (b^2 - D)/4 into a*c by trial division, for b = D mod 2 up to sqrt(|D|/3)."""
+    out = []
+    for b in range(d % 2, isqrt(-d // 3) + 1, 2):
+        m = (b * b - d) // 4
+        for a in range(max(b, 1), isqrt(m) + 1):
+            if m % a:
+                continue
+            c = m // a
+            out.append(BQF(a, b, c))
+            if 0 < b < a < c:
+                out.append(BQF(a, -b, c))
+    out.sort(key=lambda f: (f.a, f.b, f.c))
+    return out
+
+
+def counting_class_group(d: int) -> ClassGroup:
+    """Oracle: the structure from counting the forms killed by p^k, for every p^k dividing h."""
+    forms = trial_division_forms(d)
+    h = len(forms)
+    identity = principal_form(d)
+    primary: dict[int, list[int]] = {}
+    for p, e_top in factorint(h).items():
+        socle_logs = [0]
+        for k in range(1, e_top + 1):
+            killed = sum(1 for f in forms if form_power(f, p**k) == identity)
+            log = 0
+            while p**log < killed:
+                log += 1
+            assert p**log == killed
+            socle_logs.append(log)
+        at_least = [socle_logs[k] - socle_logs[k - 1] for k in range(1, e_top + 1)] + [0]
+        exps: list[int] = []
+        for k in range(1, e_top + 1):
+            exps.extend([k] * (at_least[k - 1] - at_least[k]))
+        primary[p] = exps
+    return ClassGroup(d, tuple(forms), FiniteAbelianGroup._from_primary(primary))
+
+
+# one discriminant per log stratum of 10^7 <= |D| < 10^8, with structures from the counting oracle
+LARGE_PANEL = {
+    -44747787: G(2, 4, 11, 16),
+    -48042147: G(2, 4, 167),
+    -82360599: G(2, 2, 2609),
+    -15584008: G(2, 5, 8, 11),
+    -22747620: G(2, 2, 2, 2, 8, 13),
+    -10471831: G(2, 2, 2, 7, 47),
+}
 
 
 # -- discriminants ------------------------------------------------------------
@@ -106,6 +160,37 @@ def test_reduced_forms_match_brute_force_oracle():
             continue
         got = {(f.a, f.b, f.c) for f in reduced_forms(d)}
         assert got == brute_force_reduced_forms(d)
+
+
+def test_reduced_forms_match_trial_division_oracle():
+    for d in fundamental_discriminants(20000):
+        assert reduced_forms(d) == trial_division_forms(d), d
+
+
+def test_reduced_forms_smallest_discriminants():
+    assert reduced_forms(-3) == [BQF(1, 1, 1)]
+    assert reduced_forms(-4) == [BQF(1, 0, 1)]
+    assert reduced_forms(-7) == [BQF(1, 1, 2)]
+    assert reduced_forms(-8) == [BQF(1, 0, 2)]
+    for d in (-3, -4, -7, -8):
+        assert class_group(d).structure == G()
+
+
+def test_reduced_forms_at_high_powers_of_two():
+    # D = 1 mod 8 has square roots modulo every power of 2, so a = 2^v for
+    # every 2^v <= sqrt(|D|/4) carries forms and the 2-adic roots are lifted 11 times
+    d = -20000015
+    forms = reduced_forms(d)
+    assert {f.a for f in forms if f.a & (f.a - 1) == 0} == {2**v for v in range(12)}
+    assert forms == trial_division_forms(d)
+
+
+@pytest.mark.parametrize("d", sorted(LARGE_PANEL))
+def test_large_panel_forms_and_structure(d):
+    cg = class_group(d)
+    assert list(cg.representatives) == trial_division_forms(d)
+    assert cg.structure == LARGE_PANEL[d]
+    assert cg.structure.order == cg.order
 
 
 def test_reduction_soundness():
@@ -215,6 +300,50 @@ def test_noncyclic_class_group():
     assert class_group(-56).structure == G(4)
 
 
+def test_class_group_matches_counting_oracle():
+    for d in fundamental_discriminants(5000):
+        assert class_group(d) == counting_class_group(d), d
+
+
+def _genus_two_rank_holds(d: int) -> bool:
+    return len(class_group(d).structure.exponents_at(2)) == len(primefactors(-d)) - 1
+
+
+def test_genus_theory_two_rank_of_structure():
+    # genus theory, independent of composition: the 2-rank is t - 1, t = #{primes dividing D}
+    for d in fundamental_discriminants(5000):
+        assert _genus_two_rank_holds(d), d
+    rng = random.Random(20261018)
+    sample = []
+    while len(sample) < 20:
+        d = -rng.randrange(10**6, 10**9)
+        if is_fundamental(d):
+            sample.append(d)
+    for d in sample:
+        assert _genus_two_rank_holds(d), d
+
+
+def _count_compose_calls(monkeypatch, d: int) -> tuple[int, int]:
+    calls = 0
+    compose_ = quadfields.compose
+
+    def counted(f, g):
+        nonlocal calls
+        calls += 1
+        return compose_(f, g)
+
+    monkeypatch.setattr(quadfields, "compose", counted)
+    return class_group(d).order, calls
+
+
+def test_class_group_compose_work(monkeypatch):
+    # deterministic work guard: the structure costs O(h) compositions, not O(h log h) per p^k
+    h, calls = _count_compose_calls(monkeypatch, -21311)
+    assert h == 200 and calls <= 2 * h
+    h, calls = _count_compose_calls(monkeypatch, -22747620)
+    assert h == 1664 and calls <= h
+
+
 def test_paper_golden_class_numbers():
     ten = (-35, -51, -91, -115, -123, -187, -235, -267, -403, -427)
     for d in ten:
@@ -228,8 +357,6 @@ def test_class_number_one_discriminants_are_heegner():
 
 def test_genus_theory_two_torsion_counts():
     # classical: the ambiguous classes number 2^(t-1), t = #{primes dividing D}
-    from sympy import primefactors
-
     for d in fundamental_discriminants(200):
         e = principal_form(d)
         ambiguous = sum(1 for f in reduced_forms(d) if compose(f, f) == e)
