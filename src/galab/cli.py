@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -367,11 +368,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GalabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
-    if args.json:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-    else:
-        for line in human:
-            print(line)
+    try:
+        if args.json:
+            sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        else:
+            for line in human:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe; send what is still buffered to devnull so
+        # the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

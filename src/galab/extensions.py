@@ -1,4 +1,4 @@
-"""Brute-force extension experiments at finite truncation.
+"""Extension experiments at finite truncation.
 
 The questions here concern extensions 0 -> A -> B -> C_1 + C_2 + ... -> 0 of
 a growing sum of cyclic l-groups by a fixed finite l-group A, where A must
@@ -7,16 +7,17 @@ cannot be enumerated, so the divisibility condition is replaced by the
 parametric constraint "A sits inside l^m B"; the largest m at which any
 candidate survives is the saturation level.  Enumeration is exhaustive over
 all abelian l-groups of the forced order, so at this scale the reports are
-ground truth rather than heuristics.  Each candidate B costs one subgroup
-search: every copy of A in B is found once, gets the largest m with the copy
-inside l^m B, and B survives up to the deepest copy with the right quotient.
+ground truth rather than heuristics.  Whether a candidate B survives, and up
+to which level, is decided in closed form from the types of B, A and the
+quotient sum (Green's theorem on Hall polynomials); a subgroup search runs
+only on survivors, to find the canonical witness copy of A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .arith import isprime
 from .errors import BoundExceeded
@@ -127,11 +128,6 @@ class ExtensionReport:
         }
 
 
-def _exponent_exp(g: FiniteAbelianGroup, prime: int) -> int:
-    exps = g.exponents_at(prime)
-    return exps[0] if exps else 0
-
-
 def _outside_multiple(
     witness: Sequence[GroupElement], mult: int
 ) -> tuple[GroupElement, int] | None:
@@ -147,28 +143,121 @@ def _outside_multiple(
     return None
 
 
+def _lr_nonzero(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> bool:
+    """True iff the Littlewood-Richardson coefficient c^lam_{mu,nu} is non-zero.
+
+    Searches for one LR tableau: a filling of the skew shape lam/mu with nu_1
+    ones, nu_2 twos, ..., rows weakly increasing, columns strictly increasing,
+    whose reverse reading word (rows top to bottom, each read right to left)
+    is a lattice word.
+    """
+    if sum(lam) != sum(mu) + sum(nu) or len(mu) > len(lam):
+        return False
+    if any(a > b for a, b in zip(mu, lam)):
+        return False
+    inner = mu + (0,) * (len(lam) - len(mu))
+    cells = [(i, j) for i, row in enumerate(lam) for j in range(row - 1, inner[i] - 1, -1)]
+    filling: dict[tuple[int, int], int] = {}
+    used = [0] * len(nu)
+
+    def place(k: int) -> bool:
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        # the cell to the right is filled before this one; the cell above only if in lam/mu
+        top = filling.get((i, j + 1), len(nu) - 1)
+        for v in range(filling.get((i - 1, j), -1) + 1, top + 1):
+            if used[v] == nu[v] or (v and used[v - 1] == used[v]):
+                continue
+            filling[i, j] = v
+            used[v] += 1
+            if place(k + 1):
+                return True
+            used[v] -= 1
+        filling.pop((i, j), None)
+        return False
+
+    return place(0)
+
+
+def _survival_level(
+    lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]
+) -> int | None:
+    """Highest m at which an l-group of type lam survives, in closed form (None if never).
+
+    B of type lam has a subgroup S of type mu inside l^m B with B/S of type nu
+    exactly when (i) lam and nu agree once capped at m, and (ii) the
+    Littlewood-Richardson coefficient c^{(lam-m)+}_{mu,(nu-m)+} is non-zero,
+    (p-m)+ being the positive parts of p less m.  With G = B/S, G/l^m G =
+    B/l^m B and l^m G = l^m B / S, and these two determine the type of G; by
+    Green's theorem a subgroup of type mu with quotient of type (nu-m)+
+    exists in l^m B, of type (lam-m)+, exactly when (ii) holds (Macdonald,
+    Symmetric Functions and Hall Polynomials, II.4).  A copy inside l^m B
+    lies in every l^k B with k < m, so the scan stops at the first failure.
+    Given (i) at m - 1, the sizes in (ii) force (i) at m: both say that lam
+    and nu have equally many parts >= m.  So the scan tests (ii) alone.
+    """
+    level = None
+    for m in range((lam[0] if lam else 0) + 1):
+        lam_m, nu_m = (tuple(x - m for x in p if x > m) for p in (lam, nu))
+        if not _lr_nonzero(lam_m, mu, nu_m):
+            break
+        level = m
+    return level
+
+
+def _survival_levels(spec: TruncationSpec) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(type, level) of each l-group of the spec's order that survives at some level."""
+    mu = spec.sub.exponents_at(spec.prime)
+    nu = spec.quotient_exponents[::-1]
+    for part in partitions_desc(sum(mu) + sum(nu)):
+        level = _survival_level(part, mu, nu)
+        if level is not None:
+            yield part, level
+
+
+def _witness(b: FiniteAbelianGroup, spec: TruncationSpec, level: int) -> tuple[GroupElement, ...]:
+    """The first copy of the sub, in canonical order, inside l^level B with the right quotient.
+
+    The copies are searched in l^level B built as its own group, factors
+    d_i / l^level, and mapped back by z -> l^level z.  That map is injective,
+    coordinatewise monotone and keeps element orders, so the search meets the
+    copies in the order, and with the generators, of a search in B filtered
+    to l^level B.
+    """
+    l = spec.prime
+    scale = l ** level
+    inner = FiniteAbelianGroup.from_prime_exponents(l, [e - level for e in b.exponents_at(l)])
+    pad = (0,) * (len(b.factor_orders) - len(inner.factor_orders))
+    c_group = spec.quotient_group
+    for gens in subgroups_isomorphic_to(inner, spec.sub):
+        witness = tuple(GroupElement(b, tuple(scale * z for z in g.coords) + pad) for g in gens)
+        if quotient(b, witness) == c_group:
+            return witness
+    raise AssertionError(f"{b} survives at level {level} of {spec} but has no witness there")
+
+
 def _max_survival(b: FiniteAbelianGroup, spec: TruncationSpec) -> tuple[int, tuple[GroupElement, ...]] | None:
     """Highest m at which B survives, with a witness there (None if never).
 
-    One subgroup search: each copy S of the sub gets its depth, the largest
-    m <= exp(B) with S inside l^m B.  The copies are tested in order of
-    decreasing depth, canonical order kept within a depth, so the first with
-    B/S isomorphic to the quotient sum sits at the highest surviving level.
-    It is also the witness a search restricted to l^m B finds first, since
-    every generator of a copy inside l^m B lies in l^m B.
+    The level comes in closed form from the types of B, the sub and the
+    quotient sum; only a surviving B is searched, for its witness.
     """
+    if b.order != spec.total_order:
+        return None
     l = spec.prime
-    top = _exponent_exp(b, l)
-    copies = []
-    for gens in subgroups_isomorphic_to(b, spec.sub):
-        depth = next(m for m in range(top, -1, -1) if _outside_multiple(gens, l ** m) is None)
-        copies.append((depth, gens))
-    copies.sort(key=lambda t: -t[0])  # stable: canonical order within a depth
-    c_group = spec.quotient_group
-    for depth, gens in copies:
-        if quotient(b, gens) == c_group:
-            return depth, tuple(gens)
-    return None
+    nu = spec.quotient_exponents[::-1]
+    level = _survival_level(b.exponents_at(l), spec.sub.exponents_at(l), nu)
+    if level is None:
+        return None
+    return level, _witness(b, spec, level)
+
+
+def _check_bound(spec: TruncationSpec, bound: int) -> None:
+    if spec.total_order > bound:
+        raise BoundExceeded(
+            f"search space of order {spec.total_order} exceeds the enumeration bound {bound}"
+        )
 
 
 def enumerate_extensions(
@@ -182,29 +271,12 @@ def enumerate_extensions(
     survivors at the spec's own div_level; `level_counts` the number of
     survivors at every level up to saturation.
     """
-    total = spec.total_order
-    if total > bound:
-        raise BoundExceeded(
-            f"search space of order {total} exceeds the enumeration bound {bound}"
-        )
-    l = spec.prime
-    a = spec.sub
-    e_total = sum(a.exponents_at(l)) + sum(spec.quotient_exponents)
+    _check_bound(spec, bound)
     c_group = spec.quotient_group
-    rank_cap = a.rank + c_group.rank
-    exp_cap = _exponent_exp(a, l) + _exponent_exp(c_group, l)
-    exp_floor = _exponent_exp(c_group, l)
     survivors: list[SurvivorClass] = []
-    for part in partitions_desc(e_total):
-        if part and (len(part) > rank_cap or part[0] > exp_cap or part[0] < exp_floor):
-            continue
-        if len(part) < c_group.rank:
-            continue
-        b = FiniteAbelianGroup.from_prime_exponents(l, part)
-        hit = _max_survival(b, spec)
-        if hit is not None:
-            level, witness = hit
-            survivors.append(SurvivorClass(b, witness, c_group, level))
+    for part, level in _survival_levels(spec):
+        b = FiniteAbelianGroup.from_prime_exponents(spec.prime, part)
+        survivors.append(SurvivorClass(b, _witness(b, spec, level), c_group, level))
     survivors.sort(key=lambda s: s.group.sort_key())
     top = max((s.max_level for s in survivors), default=-1)
     counts = tuple(
@@ -381,6 +453,8 @@ def verify_diagram(
     B is the canonical glued extension (or `model` with its best witness) and
     S the sub-copy; its dual D = Hom(B, Q/Z) carries the annihilator T of S
     (the dual of the cyclic-sum quotient) with D/T isomorphic to the sub.
+    The saturation level and a model's own level come in closed form, with no
+    enumeration; only a `model` is searched, for its witness.
     Checks: every element of S is divisible by l^m in B for all m up to the
     saturation level of the spec's enumeration, the l^n-socles of D and T
     have equal size, and the composite from D's socle to the sub is zero.
@@ -394,19 +468,18 @@ def verify_diagram(
         raise ValueError("n must be positive")
     if prime != spec.prime or sub != spec.sub:
         raise ValueError("spec is inconsistent with the given prime and sub group")
-    report = enumerate_extensions(
-        TruncationSpec(spec.prime, spec.sub, spec.quotient_exponents, 0), bound
-    )
+    _check_bound(spec, bound)
+    saturation = max((level for _, level in _survival_levels(spec)), default=-1)
     if model is None:
         b, witness = canonical_extension_with_witness(spec)
     else:
         b = model
-        entry = next((s for s in report.classes if s.group == model), None)
-        if entry is None:
+        hit = _max_survival(model, spec)
+        if hit is None:
             return _fail("model admits no sub-copy with the required quotient")
-        witness = entry.sub_generators
+        witness = hit[1]
 
-    for m in range(1, report.saturation_level + 1):
+    for m in range(1, saturation + 1):
         hit = _outside_multiple(witness, prime ** m)
         if hit is not None:
             return _fail(f"sub element not divisible by {prime}^{m} in the model", hit[0])

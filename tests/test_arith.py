@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -142,6 +143,6 @@ def test_package_import_does_not_load_sympy():
     result = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, check=True, timeout=60,
-        env={"PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.stdout.strip() == "False"

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import galab
 from galab.cli import load_split_table, main
 from galab.descriptors import (
     ALEPH0,
@@ -53,6 +58,25 @@ def test_classgroup_rejects_non_fundamental(capsys):
     code, _, err = run(capsys, "classgroup", "--disc", "-12")
     assert code == 2
     assert "fundamental" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_closed_pipe_gives_no_traceback(tmp_path, extra):
+    # about 800 kB of output: far more than a pipe holds, so writes outlive the reader
+    src = Path(galab.__file__).resolve().parents[1]
+    with open(tmp_path / "stderr", "w+b") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "galab", "classgroup", "--disc", "-9999999995", *extra],
+            stdout=subprocess.PIPE, stderr=err, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err.seek(0)
+        stderr = err.read().decode()
+    assert len(head) == 10
+    assert "Traceback" not in stderr and "Error" not in stderr
+    assert code in (0, 1, 2, 3, 4)
 
 
 LARGE_DISC = "-1590897978359414787"

@@ -21,6 +21,7 @@ from galab.extensions import (
 from galab.finabelian import (
     FiniteAbelianGroup,
     abelian_groups_of_order,
+    partitions_desc,
     quotient,
     quotient_map,
     span_elements,
@@ -214,6 +215,92 @@ def test_max_survival_matches_per_level_search(monkeypatch):
     assert levels == {None, 0, 1, 2, 3}
 
 
+# -- closed-form levels: Green's theorem ------------------------------------------------
+
+
+def test_lr_coefficient_hand_values():
+    assert extensions._lr_nonzero((3, 2, 1), (2, 1), (2, 1))  # c = 2
+    # sizes and containments allow these two, but no LR tableau exists
+    assert not extensions._lr_nonzero((2, 2), (2,), (1, 1))
+    assert not extensions._lr_nonzero((3,), (1, 1), (1,))
+
+
+def test_green_theorem_against_subgroup_search():
+    # c^lam_{mu,nu} != 0 iff B of type lam has S of type mu with B/S of type nu
+    checked = 0
+    for prime, top in ((2, 4), (3, 3)):
+        for size in range(top + 1):
+            for lam in partitions_desc(size):
+                b = G.from_prime_exponents(prime, lam)
+                for k in range(size + 1):
+                    for mu in partitions_desc(k):
+                        copies = subgroups_isomorphic_to(b, G.from_prime_exponents(prime, mu))
+                        quotients = {quotient(b, gens) for gens in copies}
+                        for nu in partitions_desc(size - k):
+                            found = G.from_prime_exponents(prime, nu) in quotients
+                            assert extensions._lr_nonzero(lam, mu, nu) == found, (prime, lam, mu, nu)
+                            checked += 1
+    assert checked == 186
+
+
+def _roadmap_grid():
+    for sub in (G(), G(2), G(4), G(8), G(2, 2), G(2, 4), G(2, 2, 2)):
+        for exps in ((1,), (2,), (1, 2), (1, 3), (2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 3, 4)):
+            yield spec(2, sub, exps)
+    for sub in (G(), G(3), G(9), G(3, 3)):
+        for exps in ((1,), (2,), (1, 2), (1, 3)):
+            yield spec(3, sub, exps)
+    for exps in ((1,), (1, 2)):
+        yield spec(5, G(5), exps)
+
+
+def test_closed_form_implies_rank_and_exponent_caps():
+    skipped = 0
+    for s in _roadmap_grid():
+        if s.total_order > 1024:
+            continue
+        mu = s.sub.exponents_at(s.prime)
+        nu = s.quotient_exponents[::-1]
+        for part in partitions_desc(sum(mu) + sum(nu)):
+            top = part[0] if part else 0
+            if (
+                len(part) > len(mu) + len(nu)
+                or top > (mu[0] if mu else 0) + (nu[0] if nu else 0)
+                or top < (nu[0] if nu else 0)
+                or len(part) < len(nu)
+            ):
+                assert extensions._survival_level(part, mu, nu) is None, (s, part)
+                skipped += 1
+    assert skipped > 0
+
+
+def test_search_runs_only_for_survivor_witnesses(monkeypatch):
+    searched = []
+
+    def counting(g, a):
+        searched.append(g)
+        return subgroups_isomorphic_to(g, a)
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("verify_diagram enumerated the extensions")
+
+    monkeypatch.setattr(extensions, "subgroups_isomorphic_to", counting)
+    s = spec(2, G(2, 2, 2), [1, 2, 3])
+    report = enumerate_extensions(s)
+    assert len(report.classes) == 8
+    # one search per survivor, in l^level B
+    at_levels = [
+        G.from_prime_exponents(2, [e - c.max_level for e in c.group.exponents_at(2)])
+        for c in report.classes
+    ]
+    assert sorted(searched, key=G.sort_key) == sorted(at_levels, key=G.sort_key)
+    searched.clear()
+    monkeypatch.setattr(extensions, "enumerate_extensions", no_enumeration)
+    for n in (1, 2):
+        verify_diagram(2, s.sub, s, n)
+    assert searched == []
+
+
 # -- canonical construction -------------------------------------------------------
 
 
@@ -316,8 +403,11 @@ def test_diagram_broken_model_fails_divisibility():
 
 
 def test_diagram_rejects_wrong_model():
-    check = verify_diagram(2, G(2), spec(2, G(2), [1, 2]), n=1, model=G(2, 2, 2, 2))
-    assert not check.passed
+    # a class that never survives, a model of the wrong order, and one with a foreign prime
+    for model in (G(2, 2, 2, 2), G(4, 8), G(2, 8, 3)):
+        check = verify_diagram(2, G(2), spec(2, G(2), [1, 2]), n=1, model=model)
+        assert not check.passed
+        assert check.reason == "model admits no sub-copy with the required quotient"
 
 
 def test_diagram_consistency_guard():
