@@ -3,8 +3,10 @@
 The library computes class groups of imaginary quadratic fields from
 scratch, models the relevant profinite and discrete torsion abelian groups
 by finite descriptors with a computable Pontryagin duality, verifies the
-uniqueness of the tower extensions by brute force at finite truncation, and
-classifies fields (number and function field case) by their type invariant.
+uniqueness of the tower extensions at finite truncation (survival levels in
+closed form from partitions, a subgroup search only for each survivor's
+witness), and classifies fields (number and function field case) by their
+type invariant.
 """
 
 from .classifier import (
@@ -60,7 +62,6 @@ from .extensions import (
 from .finabelian import (
     FiniteAbelianGroup,
     GroupElement,
-    Homomorphism,
     IntegerMatrix,
     abelian_groups_of_order,
     dual_finite,
@@ -76,7 +77,6 @@ from .finabelian import (
 from .quadfields import (
     BinaryQuadraticForm,
     ClassGroup,
-    Discriminant,
     class_group,
     class_number,
     compose,

@@ -55,13 +55,16 @@ def _parse_group(text: str) -> FiniteAbelianGroup:
         raise FormatError(str(exc)) from exc
 
 
-def _read_lines(path: str) -> list[tuple[int, str]]:
+def _read_text(path: str) -> str:
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_lines(path: str) -> list[tuple[int, str]]:
     out = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -119,11 +122,7 @@ def _split_table_from_args(args: argparse.Namespace) -> SplitTable:
 
 
 def _load_descriptor(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    return descriptor_from_text(text)
+    return descriptor_from_text(_read_text(path))
 
 
 # ---------------------------------------------------------------------------

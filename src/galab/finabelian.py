@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -321,13 +321,6 @@ class FiniteAbelianGroup:
 
     # -- structural helpers -------------------------------------------------
 
-    def direct_sum(self, *others: FiniteAbelianGroup) -> FiniteAbelianGroup:
-        collected: dict[int, list[int]] = {p: list(e) for p, e in self._primary}
-        for g in others:
-            for p, exps in g._primary:
-                collected.setdefault(p, []).extend(exps)
-        return FiniteAbelianGroup._from_primary(collected)
-
     def primary_part(self, prime: int) -> FiniteAbelianGroup:
         return FiniteAbelianGroup.from_prime_exponents(prime, self.exponents_at(prime))
 
@@ -335,17 +328,6 @@ class FiniteAbelianGroup:
         return FiniteAbelianGroup._from_primary(
             {p: exps for p, exps in self._primary if p != prime}
         )
-
-    def invariant_factors(self) -> tuple[int, ...]:
-        """Invariant factor chain, largest first (i-th largest exponent per prime)."""
-        out = []
-        for i in range(self.rank):
-            f = 1
-            for p, exps in self._primary:
-                if i < len(exps):
-                    f *= p ** exps[i]
-            out.append(f)
-        return tuple(out)
 
     # -- elements ------------------------------------------------------------
 
@@ -571,12 +553,6 @@ def _extend_span(
     return frozenset(seen)
 
 
-def span_elements(gens: Iterable[GroupElement], group: FiniteAbelianGroup) -> frozenset[tuple[int, ...]]:
-    """Coordinate set of the subgroup generated by `gens` inside `group`."""
-    orders = group.factor_orders
-    return reduce(lambda s, g: _extend_span(s, g.coords, orders), gens, frozenset({(0,) * len(orders)}))
-
-
 # ---------------------------------------------------------------------------
 # Subgroup enumeration and quotients
 
@@ -674,11 +650,6 @@ def quotient(
     g: FiniteAbelianGroup, generators: Sequence[GroupElement]
 ) -> FiniteAbelianGroup:
     """Canonical form of G / <generators>."""
-    return quotient_map(g, generators).target
-
-
-def quotient_map(g: FiniteAbelianGroup, generators: Sequence[GroupElement]) -> Homomorphism:
-    """The projection G -> G/<generators> as an explicit homomorphism."""
     orders = g.factor_orders
     k = len(orders)
     rows = [[orders[i] if j == i else 0 for j in range(k)] for i in range(k)]
@@ -686,73 +657,7 @@ def quotient_map(g: FiniteAbelianGroup, generators: Sequence[GroupElement]) -> H
         if s.group != g:
             raise ValueError("generator does not lie in the given group")
         rows.append(list(s.coords))
-    target, images = from_relations_with_map(k, rows)
-    return Homomorphism(g, target, images[:k])
-
-
-# ---------------------------------------------------------------------------
-# Homomorphisms
-
-
-@dataclass(frozen=True)
-class Homomorphism:
-    """A homomorphism between finite abelian groups, by generator images.
-
-    `images[i]` is the coordinate tuple in `target` of the i-th canonical
-    generator of `source`; construction fails unless each source factor
-    order annihilates its image.
-    """
-
-    source: FiniteAbelianGroup
-    target: FiniteAbelianGroup
-    images: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        src = self.source.factor_orders
-        tgt = self.target.factor_orders
-        if len(self.images) != len(src):
-            raise ValueError("one image per source generator required")
-        norm = []
-        for o, img in zip(src, self.images):
-            if len(img) != len(tgt):
-                raise ValueError("image has wrong coordinate count")
-            img = tuple(c % d for c, d in zip(img, tgt))
-            if any((o * c) % d for c, d in zip(img, tgt)):
-                raise ValueError("map is not well defined: generator order does not annihilate image")
-            norm.append(img)
-        object.__setattr__(self, "images", tuple(norm))
-
-    @classmethod
-    def identity(cls, g: FiniteAbelianGroup) -> Homomorphism:
-        k = len(g.factor_orders)
-        return cls(g, g, tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)))
-
-    @classmethod
-    def zero(cls, g: FiniteAbelianGroup, h: FiniteAbelianGroup) -> Homomorphism:
-        k = len(h.factor_orders)
-        return cls(g, h, tuple((0,) * k for _ in g.factor_orders))
-
-    def __call__(self, x: GroupElement) -> GroupElement:
-        if x.group != self.source:
-            raise ValueError("element not in the source group")
-        tgt = self.target.factor_orders
-        out = [0] * len(tgt)
-        for c, img in zip(x.coords, self.images):
-            if c:
-                for i, m in enumerate(img):
-                    out[i] = (out[i] + c * m) % tgt[i]
-        return GroupElement(self.target, tuple(out))
-
-    def compose(self, inner: Homomorphism) -> Homomorphism:
-        """Return self after inner (self must start where inner ends)."""
-        if inner.target != self.source:
-            raise ValueError("maps are not composable")
-        images = tuple(self(GroupElement(self.source, img)).coords for img in inner.images)
-        return Homomorphism(inner.source, self.target, images)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(all(c == 0 for c in img) for img in self.images)
+    return from_relations(k, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -801,15 +706,3 @@ def embeds_in(a: FiniteAbelianGroup, g: FiniteAbelianGroup) -> bool:
             return False
     return True
 
-
-def is_direct_summand_of(a: FiniteAbelianGroup, g: FiniteAbelianGroup) -> bool:
-    """True iff G = A + (something): multiset containment of primary factors."""
-    for p in a.primes:
-        need = list(a.exponents_at(p))
-        have = list(g.exponents_at(p))
-        for e in need:
-            if e in have:
-                have.remove(e)
-            else:
-                return False
-    return True

@@ -52,20 +52,6 @@ def _require_fundamental(d: int) -> int:
 
 
 @dataclass(frozen=True)
-class Discriminant:
-    """A fundamental discriminant of an imaginary quadratic field."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        _require_fundamental(self.value)
-
-
-def _disc_value(d: int | Discriminant) -> int:
-    return d.value if isinstance(d, Discriminant) else int(d)
-
-
-@dataclass(frozen=True)
 class BinaryQuadraticForm:
     """A positive-definite integral binary quadratic form a x^2 + b xy + c y^2."""
 
@@ -97,11 +83,10 @@ class BinaryQuadraticForm:
         return f"({self.a},{self.b},{self.c})"
 
 
-def principal_form(d: int | Discriminant) -> BinaryQuadraticForm:
+def principal_form(d: int) -> BinaryQuadraticForm:
     """The identity class: (1, 0, -D/4) or (1, 1, (1-D)/4)."""
-    dv = _disc_value(d)
-    b0 = dv % 2
-    return BinaryQuadraticForm(1, b0, (b0 * b0 - dv) // 4)
+    b0 = d % 2
+    return BinaryQuadraticForm(1, b0, (b0 * b0 - d) // 4)
 
 
 def reduce_form(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
@@ -131,7 +116,7 @@ def _smallest_prime_factors(n: int) -> list[int]:
     return spf
 
 
-def reduced_forms(d: int | Discriminant) -> list[BinaryQuadraticForm]:
+def reduced_forms(d: int) -> list[BinaryQuadraticForm]:
     """The complete list of reduced forms of a fundamental discriminant, sorted.
 
     A reduced form (a, b, c) has a <= sqrt(|D|/3) and -a < b <= a with
@@ -145,7 +130,7 @@ def reduced_forms(d: int | Discriminant) -> list[BinaryQuadraticForm]:
     |D| above MAX_ENUMERATED_DISCRIMINANT raises BoundExceeded before any
     enumeration.
     """
-    dv = _require_fundamental(_disc_value(d))
+    dv = _require_fundamental(d)
     if -dv > MAX_ENUMERATED_DISCRIMINANT:
         raise BoundExceeded(
             f"|D| = {-dv} exceeds {MAX_ENUMERATED_DISCRIMINANT}, the largest "
@@ -191,7 +176,7 @@ def reduced_forms(d: int | Discriminant) -> list[BinaryQuadraticForm]:
     return out
 
 
-def class_number(d: int | Discriminant) -> int:
+def class_number(d: int) -> int:
     return len(reduced_forms(d))
 
 
@@ -292,7 +277,7 @@ class ClassGroup:
         return f"{self.structure} [{reps}]"
 
 
-def class_group(d: int | Discriminant) -> ClassGroup:
+def class_group(d: int) -> ClassGroup:
     """Class group of a fundamental discriminant, structure included.
 
     For each p^e exactly dividing h, f -> f^(h/p^e) maps the class group onto
@@ -303,10 +288,9 @@ def class_group(d: int | Discriminant) -> ClassGroup:
     must reach exactly p^e, every socle count must be a power of p, and the
     structure's order must be h; otherwise ArithmeticError.
     """
-    dv = _require_fundamental(_disc_value(d))
-    forms = reduced_forms(dv)
+    forms = reduced_forms(d)
     h = len(forms)
-    identity = principal_form(dv)
+    identity = principal_form(d)
     assert identity in forms, "principal form missing from the reduced list"
     primary: dict[int, list[int]] = {}
     for p, e in factorint(h).items():
@@ -318,7 +302,7 @@ def class_group(d: int | Discriminant) -> ClassGroup:
     structure = FiniteAbelianGroup._from_primary(primary)
     if structure.order != h:
         raise ArithmeticError("structure order disagrees with the class number")
-    return ClassGroup(dv, tuple(forms), structure)
+    return ClassGroup(d, tuple(forms), structure)
 
 
 def _span(

@@ -278,8 +278,8 @@ def test_criterion_9_function_field_three_condition_test():
             function_field_type(FunctionFieldInput(p, n1, g1)),
             function_field_type(FunctionFieldInput(p, n2, g2)),
         )
-        pad1 = g1.direct_sum(G(*(p ** rng.randrange(1, 4) for _ in range(rng.randrange(0, 3)))))
-        pad2 = g2.direct_sum(G(*(p ** rng.randrange(1, 4) for _ in range(rng.randrange(0, 3)))))
+        pad1 = G(*g1.factor_orders, *(p ** rng.randrange(1, 4) for _ in range(rng.randrange(0, 3))))
+        pad2 = G(*g2.factor_orders, *(p ** rng.randrange(1, 4) for _ in range(rng.randrange(0, 3))))
         after = function_field_isomorphic(
             function_field_type(FunctionFieldInput(p, n1, pad1)),
             function_field_type(FunctionFieldInput(p, n2, pad2)),

@@ -235,7 +235,7 @@ def test_ff_ignores_p_part_spot():
         base_orders = [rng.choice([2, 3, 4, 5, 7, 9]) for _ in range(rng.randrange(0, 3))]
         base = G(*base_orders)
         a = function_field_type(FunctionFieldInput(p, n, base))
-        padded = base.direct_sum(G(*(p ** rng.randrange(1, 4) for _ in range(rng.randrange(1, 3)))))
+        padded = G(*base.factor_orders, *(p ** rng.randrange(1, 4) for _ in range(rng.randrange(1, 3))))
         b = function_field_type(FunctionFieldInput(p, n, padded))
         assert function_field_isomorphic(a, b)
 

@@ -319,6 +319,25 @@ def test_dual_malformed_document(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("dual", "--input", "FILE"),
+        ("truncate", "--input", "FILE", "--prime", "2", "--max-exp", "1", "--cap", "1",
+         "--free-level", "0"),
+        ("batch", "--input", "FILE"),
+        ("classify", "--disc", "-35", "--split-table", "FILE"),
+    ],
+)
+def test_undecodable_input_file(capsys, tmp_path, argv):
+    path = tmp_path / "binary.dat"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("free_rank", True), ("prime", 2.9), ("full_tower", "no")],
 )

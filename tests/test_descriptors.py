@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +31,14 @@ from galab.descriptors import (
     truncate,
 )
 from galab.errors import BoundExceeded, FormatError, KindMismatch
-from galab.finabelian import FiniteAbelianGroup, dual_finite, is_direct_summand_of
+from galab.finabelian import FiniteAbelianGroup, dual_finite
 
 G = FiniteAbelianGroup
+
+
+def is_direct_summand_of(a: FiniteAbelianGroup, g: FiniteAbelianGroup) -> bool:
+    """True iff G = A + (something): multiset containment of primary factors."""
+    return all(not Counter(a.exponents_at(p)) - Counter(g.exponents_at(p)) for p in a.primes)
 
 
 # -- cardinal arithmetic -------------------------------------------------------

@@ -16,7 +16,6 @@ from galab.finabelian import FiniteAbelianGroup
 from galab.quadfields import (
     BinaryQuadraticForm,
     ClassGroup,
-    Discriminant,
     class_group,
     class_number,
     compose,
@@ -116,10 +115,20 @@ def test_is_fundamental_examples():
     assert not is_fundamental(0)
 
 
-def test_discriminant_type_validates():
-    Discriminant(-23)
+def test_class_group_checks_discriminant_once(monkeypatch):
+    calls = 0
+    require = quadfields._require_fundamental
+
+    def counted(d):
+        nonlocal calls
+        calls += 1
+        return require(d)
+
+    monkeypatch.setattr(quadfields, "_require_fundamental", counted)
+    assert class_group(-23).order == 3
+    assert calls == 1
     with pytest.raises(NotFundamental):
-        Discriminant(-12)
+        class_group(-12)
 
 
 def test_fundamental_discriminants_listing():
