@@ -407,6 +407,15 @@ def test_quotient_examples():
     assert quotient(z8, [z8.element((4,))]) == G(4)
 
 
+def test_quotient_rejects_foreign_generator():
+    g = G(2, 4)
+    with pytest.raises(ValueError):
+        quotient(g, [G(8).element((1,))])
+    # same rank, so the coordinates alone would pass for relations of G
+    with pytest.raises(ValueError):
+        quotient(g, [g.element((1, 0)), G(8, 2).element((5, 1))])
+
+
 def test_quotient_exactness_for_enumerated_subgroups():
     for g in abelian_groups_of_order(16) + abelian_groups_of_order(24):
         for a in (G(2), G(4), G(2, 2)):

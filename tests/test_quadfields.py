@@ -115,6 +115,16 @@ def test_is_fundamental_examples():
     assert not is_fundamental(0)
 
 
+def test_discriminant_type_validates():
+    # every entry point that takes a discriminant accepts a fundamental one
+    # and refuses the rest before it enumerates anything
+    assert class_group(-23).order == class_number(-23) == len(reduced_forms(-23)) == 3
+    for d in (-12, -16, -1, -6, 0, 5, 8):
+        for entry in (class_group, class_number, reduced_forms):
+            with pytest.raises(NotFundamental):
+                entry(d)
+
+
 def test_class_group_checks_discriminant_once(monkeypatch):
     calls = 0
     require = quadfields._require_fundamental
