@@ -34,7 +34,7 @@ from .descriptors import (
     truncate,
 )
 from .errors import FormatError, GalabError, exit_code_for
-from .extensions import verify_uniqueness
+from .extensions import DEFAULT_ENUMERATION_BOUND, verify_uniqueness
 from .finabelian import FiniteAbelianGroup, group_literal, parse_group_literal
 from .quadfields import class_group
 
@@ -200,6 +200,8 @@ def _cmd_batch(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_verify_uniqueness(args) -> tuple[dict, list[str], int]:
+    if args.bound < 1:
+        raise UsageError("--bound must be >= 1")
     sub = _parse_group(args.sub)
     exponent_lists = []
     for text in args.exponents:
@@ -331,7 +333,7 @@ def build_parser() -> _Parser:
         "--exponents", action="append", required=True,
         help="comma-separated quotient exponents; repeatable",
     )
-    p.add_argument("--bound", type=int, default=1024)
+    p.add_argument("--bound", type=int, default=DEFAULT_ENUMERATION_BOUND)
 
     p = add("dual", _cmd_dual, "Pontryagin dual of a descriptor document")
     p.add_argument("--input", required=True, help="descriptor JSON file")

@@ -26,10 +26,11 @@ from .finabelian import (
     GroupElement,
     from_relations_with_map,
     group_literal,
+    l_subgroups,
     partitions_desc,
     power_and_socle,
     quotient,
-    subgroups_isomorphic_to,
+    subgroup_generators,
 )
 
 DEFAULT_ENUMERATION_BOUND = 2 ** 10
@@ -219,21 +220,28 @@ def _survival_levels(spec: TruncationSpec) -> Iterator[tuple[tuple[int, ...], in
 def _witness(b: FiniteAbelianGroup, spec: TruncationSpec, level: int) -> tuple[GroupElement, ...]:
     """The first copy of the sub, in canonical order, inside l^level B with the right quotient.
 
-    The copies are searched in l^level B built as its own group, factors
-    d_i / l^level, and mapped back by z -> l^level z.  That map is injective,
-    coordinatewise monotone and keeps element orders, so the search meets the
-    copies in the order, and with the generators, of a search in B filtered
-    to l^level B.
+    The copies are met lazily, in ascending order of their sorted element
+    tuples, in l^level B built as its own group, factors d_i / l^level, and
+    mapped back by z -> l^level z.  That map is injective, coordinatewise
+    monotone and keeps element orders, so the copies come in the order, and
+    get the generators, of a search in B filtered to l^level B.  Each copy
+    is tested through its spanning elements; the search stops at the first
+    copy S with B/S isomorphic to the quotient sum, and only S gets its
+    canonical generator tuple (`subgroup_generators`).
     """
     l = spec.prime
     scale = l ** level
+    mu = spec.sub.exponents_at(l)
     inner = FiniteAbelianGroup.from_prime_exponents(l, [e - level for e in b.exponents_at(l)])
     pad = (0,) * (len(b.factor_orders) - len(inner.factor_orders))
+
+    def lift(coords: Iterable[tuple[int, ...]]) -> tuple[GroupElement, ...]:
+        return tuple(GroupElement(b, tuple(scale * z for z in c) + pad) for c in coords)
+
     c_group = spec.quotient_group
-    for gens in subgroups_isomorphic_to(inner, spec.sub):
-        witness = tuple(GroupElement(b, tuple(scale * z for z in g.coords) + pad) for g in gens)
-        if quotient(b, witness) == c_group:
-            return witness
+    for elements, spanning in l_subgroups(inner, l, mu):
+        if quotient(b, lift(spanning)) == c_group:
+            return lift(subgroup_generators(inner, l, mu, elements))
     raise AssertionError(f"{b} survives at level {level} of {spec} but has no witness there")
 
 

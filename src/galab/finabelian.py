@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .arith import factorint
 from .errors import InfiniteQuotient
@@ -524,7 +524,7 @@ def power_and_socle(g: FiniteAbelianGroup, n: int) -> tuple[FiniteAbelianGroup, 
 
 
 # ---------------------------------------------------------------------------
-# Raw coordinate helpers (hot paths run on plain tuples)
+# Raw coordinate helpers (hot paths run on plain tuples or packed ints)
 
 
 def _add(a: tuple[int, ...], b: tuple[int, ...], orders: tuple[int, ...]) -> tuple[int, ...]:
@@ -538,18 +538,53 @@ def _element_order(coords: tuple[int, ...], orders: tuple[int, ...]) -> int:
     return o
 
 
+class _Packing:
+    """Elements of a group packed into one int each.
+
+    Coordinate i sits in a bit field of fixed width w, the first coordinate
+    highest, so packed ints compare like coordinate tuples.  Each field has
+    two spare bits: `add` sums all fields at once, sets the top bit of every
+    field whose sum reached its order d_i, and subtracts d_i there.
+    """
+
+    __slots__ = ("shifts", "bias", "tops", "orders", "low", "top_bit")
+
+    def __init__(self, orders: tuple[int, ...]):
+        w = max(orders, default=1).bit_length() + 2
+        self.shifts = [w * i for i in range(len(orders) - 1, -1, -1)]
+        self.top_bit = w - 1
+        half = 1 << self.top_bit
+        self.bias = self.pack([half - d for d in orders])
+        self.tops = self.pack([half] * len(orders))
+        self.orders = self.pack(orders)
+        self.low = half - 1
+
+    def pack(self, coords: Iterable[int]) -> int:
+        return sum(c << s for c, s in zip(coords, self.shifts))
+
+    def add(self, x: int, y: int) -> int:
+        s = x + y
+        return s - ((((s + self.bias) & self.tops) >> self.top_bit) * self.low & self.orders)
+
+
+_packing = lru_cache(maxsize=64)(_Packing)
+
+
 def _extend_span(
-    current: frozenset[tuple[int, ...]], g: tuple[int, ...], orders: tuple[int, ...]
-) -> frozenset[tuple[int, ...]]:
-    """The span of a subgroup `current` and one more element g."""
+    current: frozenset[int], g: int, step: int, add: Callable[[int, int], int]
+) -> frozenset[int] | None:
+    """The span of a subgroup `current` and g, whose order modulo `current` is `step`.
+
+    None when the span has an element below g outside `current`: then g is
+    not the least element outside `current` of any subgroup containing both.
+    """
     seen = set(current)
-    stack = list(current)
-    while stack:
-        x = stack.pop()
-        y = _add(x, g, orders)
-        if y not in seen:
-            seen.add(y)
-            stack.append(y)
+    coset = current
+    for _ in range(step - 1):
+        coset = [add(x, g) for x in coset]
+        if min(coset) < g:
+            return None
+        seen.update(coset)
     return frozenset(seen)
 
 
@@ -563,7 +598,9 @@ def subgroups_isomorphic_to(
 ) -> list[list[GroupElement]]:
     """All subgroups of G isomorphic to A, each as a generating set.
 
-    The list is duplicate-free (by element set) and deterministically ordered.
+    The list is duplicate-free and sorted by the subgroups' sorted element
+    tuples.  Each l-part comes from `l_subgroups` and carries the generators
+    of `subgroup_generators`; the parts of a subgroup are summed over primes.
     """
     if a.is_trivial:
         return [[]]
@@ -572,78 +609,145 @@ def subgroups_isomorphic_to(
     orders = g.factor_orders
     per_prime: list[list[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]]] = []
     for p in a.primes:
-        found = _l_subgroups(g, p, a.exponents_at(p))
+        exps = a.exponents_at(p)
+        found = [(els, subgroup_generators(g, p, exps, els)) for els, _ in l_subgroups(g, p, exps)]
         if not found:
             return []
         per_prime.append(found)
     results = []
-    for combo in itertools.product(*per_prime):
-        gens: list[tuple[int, ...]] = []
-        els: set[tuple[int, ...]] = {(0,) * len(orders)}
-        for part_els, part_gens in combo:
-            gens.extend(part_gens)
-            els = {_add(x, y, orders) for x in els for y in part_els}
-        key = tuple(sorted(els))
+    for (key, gens), *rest in itertools.product(*per_prime):
+        for part_els, part_gens in rest:
+            key = tuple(sorted({_add(x, y, orders) for x in key for y in part_els}))
+            gens += part_gens
         results.append((key, gens))
     results.sort(key=lambda t: t[0])
     return [[GroupElement(g, c) for c in gens] for _, gens in results]
 
 
-def _l_subgroups(
-    g: FiniteAbelianGroup,
-    prime: int,
-    target_exps: tuple[int, ...],
-) -> list[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]]:
-    """Subgroups of the l-part of G isomorphic to the l-group with `target_exps`.
+def l_subgroups(
+    g: FiniteAbelianGroup, prime: int, exponents: Sequence[int]
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]]:
+    """Each subgroup of the l-part of G of type `exponents`, once, lazily, in ascending order.
 
-    Returns (sorted element tuple, generator tuple) pairs, deduplicated and
-    deterministically ordered.
+    Yields (sorted element tuple, spanning elements), ascending in the
+    element tuples.  A subgroup S is reached through its greedy sequence
+    g_1 = min(S - 0), g_(j+1) = min(S - <g_1..g_j>), which is also the
+    spanning tuple: a child <T, x> of T = <g_1..g_j> is kept only when
+    x > g_j and every element of <T, x> below x lies in T.  Of two subgroups
+    of equal order, the one with the smaller greedy sequence has the smaller
+    element tuple, and children are tried in ascending order, so the
+    subgroups come out sorted.  Candidates are the l^e-torsion of G, e the
+    largest exponent; a child is pruned when it outgrows |S| or its type no
+    longer fits in the target type.
     """
     orders = g.factor_orders
-    k = len(orders)
-    l_idx = [i for i, d in enumerate(orders) if d % prime == 0]
-    # all elements of l-power order have support on the l-block
-    candidates: dict[int, list[tuple[int, ...]]] = {f: [] for f in set(target_exps)}
-    ranges = [range(orders[i]) for i in l_idx]
-    needed = set(target_exps)
-    for block in itertools.product(*ranges):
-        coords = [0] * k
-        for i, c in zip(l_idx, block):
-            coords[i] = c
-        coords = tuple(coords)
-        o = _element_order(coords, orders)
-        f = 0
-        while o > 1:
-            o //= prime
-            f += 1
-        if f in needed:
-            candidates[f].append(coords)
-    for f in candidates:
-        candidates[f].sort()
-    found: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] = {}
-    exps = list(target_exps)
+    want = sorted(exponents, reverse=True)
+    top = want[0] if want else 0
+    depth = sum(want)  # |S| = l^depth
+    if not embeds_in(FiniteAbelianGroup.from_prime_exponents(prime, want), g):
+        return
+    packing = _packing(orders)
+    add = packing.add
+    torsion = itertools.product(*(range(0, d, d // gcd(d, prime ** top)) for d in orders))
+    coords = {packing.pack(x): x for x in torsion}  # ascending, 0 first
+    candidates = list(coords)[1:]
+    times_l = {x: packing.pack(prime * c % d for c, d in zip(coords[x], orders)) for x in candidates}
+    level = {0: 0}  # x has order l^level[x]
+    for x in candidates:
+        y, level[x] = times_l[x], 1
+        while y:
+            y, level[x] = times_l[y], level[x] + 1
+    # roots[k][y]: the candidates x with l^k x = y, ascending.  A child x of T
+    # with |<T, x>| <= l^depth has l^k x in T for k = depth - log_l |T|.
+    roots: list[dict[int, list[int]]] = [{} for _ in range(depth + 1)]
+    for x in candidates:
+        y = x
+        for k in range(1, depth + 1):
+            y = times_l.get(y, 0)
+            roots[k].setdefault(y, []).append(x)
+    # cap[n] = l^(number of target parts >= n) bounds |T[l^n]| / |T[l^(n-1)]|
+    cap = [prime ** sum(1 for e in want if e >= n) for n in range(top + 1)]
 
-    def rec(pos: int, chosen: list[tuple[int, ...]], spanned: frozenset, start: int) -> None:
-        if pos == len(exps):
-            key = tuple(sorted(spanned))
-            found.setdefault(key, tuple(chosen))
-            return
-        f = exps[pos]
-        pool = candidates[f]
-        begin = start if pos > 0 and exps[pos - 1] == f else 0
-        for idx in range(begin, len(pool)):
-            x = pool[idx]
-            if x in spanned:
-                continue
-            bigger = _extend_span(spanned, x, orders)
-            if len(bigger) != len(spanned) * prime ** f:
-                continue
-            chosen.append(x)
-            rec(pos + 1, chosen, bigger, idx + 1)
-            chosen.pop()
+    def fits(span: frozenset[int]) -> bool:
+        """Whether the type of span fits in the target type."""
+        counts = [0] * (top + 1)
+        for x in span:
+            counts[level[x]] += 1
+        below = 1
+        for n in range(1, top + 1):
+            if below + counts[n] > below * cap[n]:
+                return False
+            below += counts[n]
+        return True
 
-    rec(0, [], frozenset({(0,) * k}), 0)
-    return sorted(found.items())
+    def grow(span: frozenset[int], spanning: tuple[int, ...], k: int) -> Iterator:
+        last = spanning[-1] if spanning else 0
+        children = sorted(x for t in span for x in roots[k].get(t, ()) if x > last and x not in span)
+        for x in children:
+            # l^j is the order of x modulo T
+            j, y = 1, times_l[x]
+            while y not in span:
+                j, y = j + 1, times_l[y]
+            bigger = _extend_span(span, x, prime ** j, add)
+            if bigger is None or not fits(bigger):
+                continue
+            if j == k:
+                yield bigger, spanning + (x,)
+            else:
+                yield from grow(bigger, spanning + (x,), k - j)
+
+    found = grow(frozenset({0}), (), depth) if depth else iter([(frozenset({0}), ())])
+    for span, spanning in found:
+        yield tuple(coords[x] for x in sorted(span)), tuple(coords[x] for x in spanning)
+
+
+def subgroup_generators(
+    g: FiniteAbelianGroup,
+    prime: int,
+    exponents: Sequence[int],
+    elements: Sequence[tuple[int, ...]],
+) -> tuple[tuple[int, ...], ...]:
+    """The first generator tuple of the l-subgroup `elements`, of type `exponents`.
+
+    A generator tuple has one element of order l^e per target exponent e,
+    exponents descending, each meeting the span of those before it only in
+    0.  The first such tuple in lexicographic order is returned; it is
+    searched inside the subgroup alone.  Its equal-exponent entries ascend:
+    the tuple spans a direct sum in any order, so swapping two of them would
+    give another generator tuple.
+    """
+    orders = g.factor_orders
+    if any(len(x) != len(orders) or not all(0 <= c < d for c, d in zip(x, orders)) for x in elements):
+        raise ValueError("elements are not coordinate tuples of the group")
+    packing = _packing(orders)
+    add = packing.add
+    want = sorted(exponents, reverse=True)
+    coords = {packing.pack(x): x for x in elements}
+    multiples: dict[int, list[int]] = {}  # k x for 0 <= k < order of x
+    for x in sorted(coords):
+        multiples[x], y = [0], x
+        while y:
+            multiples[x].append(y)
+            y = add(y, x)
+    pools = {e: [x for x, m in multiples.items() if len(m) == prime ** e] for e in set(want)}
+
+    def first(pos: int, span: set[int]) -> tuple[int, ...] | None:
+        if pos == len(want):
+            return ()
+        f = want[pos]
+        for x in pools[f]:
+            # <x> meets the span in 0 iff its subgroup of order l does not lie there
+            if multiples[x][prime ** (f - 1)] in span:
+                continue
+            rest = first(pos + 1, {add(s, m) for s in span for m in multiples[x]})
+            if rest is not None:
+                return (x,) + rest
+        return None
+
+    found = first(0, {0})
+    if found is None or len(coords) != prime ** sum(want):
+        raise ValueError("elements are not a subgroup of the given type")
+    return tuple(coords[x] for x in found)
 
 
 def quotient(

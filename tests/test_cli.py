@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import galab
-from galab.cli import load_split_table, main
+from galab.cli import build_parser, load_split_table, main
 from galab.descriptors import (
     ALEPH0,
     LocalFactors,
@@ -21,6 +21,7 @@ from galab.descriptors import (
     prime_tower_descriptor,
 )
 from galab.errors import FormatError
+from galab.extensions import DEFAULT_ENUMERATION_BOUND
 from galab.finabelian import FiniteAbelianGroup
 
 G = FiniteAbelianGroup
@@ -253,6 +254,19 @@ def test_verify_uniqueness_bound(capsys):
     )
     assert code == 4
     assert "bound" in err
+
+
+def test_verify_uniqueness_bound_must_be_positive(capsys):
+    for bound in ("0", "-5"):
+        code, out, err = run(
+            capsys,
+            "verify-uniqueness", "--prime", "2", "--sub", "2", "--exponents", "1", "--bound", bound,
+        )
+        assert (code, out) == (1, "")
+        assert err == "usage error: --bound must be >= 1\n"
+    # the default bound is the library's
+    args = build_parser().parse_args(["verify-uniqueness", "--prime", "2", "--exponents", "1"])
+    assert args.bound == DEFAULT_ENUMERATION_BOUND
 
 
 def test_dual_and_truncate_cli(capsys, tmp_path):

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 
 import pytest
 
-from galab import extensions
+from galab import extensions, finabelian
 from galab.errors import BoundExceeded
 from galab.extensions import (
     TowerExtensionType,
@@ -21,6 +22,7 @@ from galab.extensions import (
 from galab.finabelian import (
     FiniteAbelianGroup,
     abelian_groups_of_order,
+    l_subgroups,
     partitions_desc,
     quotient,
     subgroups_isomorphic_to,
@@ -192,7 +194,7 @@ def _survival_cases():
 
 
 def test_max_survival_matches_per_level_search(monkeypatch):
-    # both searches test the same copies of the sub: find and test each one once
+    # cache the oracle's subgroup searches and the quotient tests both sides make
     seen = {}
 
     def once(f):
@@ -205,7 +207,6 @@ def test_max_survival_matches_per_level_search(monkeypatch):
         return cached
 
     searches = once(subgroups_isomorphic_to), once(quotient)
-    monkeypatch.setattr(extensions, "subgroups_isomorphic_to", searches[0])
     monkeypatch.setattr(extensions, "quotient", searches[1])
     levels = set()
     checked = 0
@@ -261,6 +262,31 @@ def _roadmap_grid():
         yield spec(5, G(5), exps)
 
 
+BENCHMARK_GRID = [
+    (2, G(), (1, 2)), (2, G(), (1, 2, 3)), (2, G(2), (1, 2)), (2, G(2), (1, 2, 3)),
+    (2, G(4), (1, 2)), (2, G(4), (1, 2, 3)), (2, G(2, 2), (1, 2)), (2, G(2, 2), (1, 2, 3)),
+    (3, G(3), (1, 2)),
+    (2, G(2, 2), (1, 2, 3, 4)), (2, G(2, 2, 2), (1, 2, 3)), (2, G(4), (1, 2, 3, 4)),
+]
+
+
+def test_extension_documents_are_pinned():
+    # the benchmark grid at bound 4096 and the roadmap grid at 1024, each at div_level
+    # 0 and 1, witnesses included: the digest of the generator-tuple search's documents
+    cases = [(p, sub, exps, 4096) for p, sub, exps in BENCHMARK_GRID]
+    cases += [(s.prime, s.sub, s.quotient_exponents, 1024) for s in _roadmap_grid()]
+    docs = []
+    for prime, sub, exps, bound in cases:
+        for m in (0, 1):
+            try:
+                docs.append(enumerate_extensions(spec(prime, sub, exps, m), bound).to_document())
+            except BoundExceeded as exc:
+                docs.append({"bound_exceeded": str(exc)})
+    assert len(docs) == 172
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == "2e112b1afdc039ec178250e445696d657f6c8d226161224d9f42bc07b85b957f"
+
+
 def test_closed_form_implies_rank_and_exponent_caps():
     skipped = 0
     for s in _roadmap_grid():
@@ -284,14 +310,14 @@ def test_closed_form_implies_rank_and_exponent_caps():
 def test_search_runs_only_for_survivor_witnesses(monkeypatch):
     searched = []
 
-    def counting(g, a):
+    def counting(g, prime, exponents):
         searched.append(g)
-        return subgroups_isomorphic_to(g, a)
+        return l_subgroups(g, prime, exponents)
 
     def no_enumeration(*args, **kwargs):
         raise AssertionError("verify_diagram enumerated the extensions")
 
-    monkeypatch.setattr(extensions, "subgroups_isomorphic_to", counting)
+    monkeypatch.setattr(extensions, "l_subgroups", counting)
     s = spec(2, G(2, 2, 2), [1, 2, 3])
     report = enumerate_extensions(s)
     assert len(report.classes) == 8
@@ -306,6 +332,26 @@ def test_search_runs_only_for_survivor_witnesses(monkeypatch):
     for n in (1, 2):
         verify_diagram(2, s.sub, s, n)
     assert searched == []
+
+
+def test_witness_search_stops_at_the_first_copy(monkeypatch):
+    # the search stops at the first copy with the right quotient; listing every copy
+    # of the sub before testing any builds 57 260 spans
+    counts = {"quotient": 0, "spans": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            counts[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(extensions, "quotient", counted("quotient", quotient))
+    monkeypatch.setattr(finabelian, "_extend_span", counted("spans", finabelian._extend_span))
+    report = enumerate_extensions(spec(2, G(2, 2, 2), [1, 2, 3]))
+    assert len(report.classes) == 8
+    assert counts["quotient"] <= 16
+    assert counts["spans"] <= 60
 
 
 # -- canonical construction -------------------------------------------------------

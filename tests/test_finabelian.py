@@ -22,11 +22,13 @@ from galab.finabelian import (
     from_relations_with_map,
     group_literal,
     hom_group,
+    l_subgroups,
     parse_group_literal,
     partitions_desc,
     power_and_socle,
     quotient,
     smith_normal_form,
+    subgroup_generators,
     subgroups_isomorphic_to,
 )
 
@@ -392,6 +394,85 @@ def test_cyclic_subgroup_counts_match_totient_oracle():
             n_elements = sum(1 for x in g.elements() if x.order == q)
             expected = n_elements // int(totient(q))
             assert len(subgroups_isomorphic_to(g, G(q))) == expected
+
+
+def tuple_dfs_subgroups(g: FiniteAbelianGroup, prime: int, exps: tuple[int, ...]):
+    """Oracle: subgroups of the l-group G of type exps by a generator-tuple search.
+
+    Tries every tuple of one element of order l^e per exponent e (exponents
+    descending, equal exponents in ascending order), each meeting the span of
+    those before it only in 0, in lexicographic order.  A subgroup is reached
+    once per such tuple and keeps the first.  Returns (sorted element tuple,
+    first generator tuple) pairs in ascending order.
+    """
+    orders = g.factor_orders
+    pools = {f: sorted(x.coords for x in g.elements() if x.order == prime ** f) for f in set(exps)}
+    found = {}
+
+    def rec(pos, chosen, spanned, start):
+        if pos == len(exps):
+            found.setdefault(tuple(sorted(spanned)), tuple(chosen))
+            return
+        f = exps[pos]
+        pool = pools[f]
+        for idx in range(start if pos and exps[pos - 1] == f else 0, len(pool)):
+            x = pool[idx]
+            multiples = [tuple(c * k % d for c, d in zip(x, orders)) for k in range(prime ** f)]
+            bigger = {tuple((a + b) % d for a, b, d in zip(s, m, orders)) for s in spanned for m in multiples}
+            if len(bigger) == len(spanned) * prime ** f:
+                rec(pos + 1, chosen + [x], bigger, idx + 1)
+
+    rec(0, [], {(0,) * len(orders)}, 0)
+    return sorted(found.items())
+
+
+def _l_group_pairs(bounds):
+    """(prime, B, type of A) for every l-group B and sub type A within the size bounds."""
+    for prime, b_top, a_top in bounds:
+        for b_size in range(b_top + 1):
+            for lam in partitions_desc(b_size):
+                for a_size in range(min(a_top, b_size) + 1):
+                    for mu in partitions_desc(a_size):
+                        yield prime, G.from_prime_exponents(prime, lam), mu
+
+
+def test_subgroup_search_matches_tuple_dfs_oracle():
+    # every l-group B with |B| <= 2^6, 3^4, 5^3 and every sub A with |A| <= 2^3, 3^2, 5^2;
+    # equal generator tuples in equal order give equal element sets in equal order
+    pairs = subgroups = 0
+    for prime, b, mu in _l_group_pairs(((2, 6, 3), (3, 4, 2), (5, 3, 2))):
+        found = subgroups_isomorphic_to(b, G.from_prime_exponents(prime, mu))
+        want = tuple_dfs_subgroups(b, prime, mu)
+        assert [tuple(x.coords for x in gens) for gens in found] == [t for _, t in want], (b, mu)
+        pairs += 1
+        subgroups += len(found)
+    assert (pairs, subgroups) == (259, 4192)
+
+
+def test_l_subgroups_span_by_greedy_sequences():
+    # each spanning entry is the least element outside the span of those before it
+    for prime, b, mu in _l_group_pairs(((2, 5, 3), (3, 3, 2), (5, 2, 2))):
+        found = list(l_subgroups(b, prime, mu))
+        assert [els for els, _ in found] == sorted(els for els, _ in found)
+        for els, spanning in found:
+            assert len(els) == prime ** sum(mu)
+            for j, x in enumerate(spanning):
+                below = span_set([b.element(y) for y in spanning[:j]], b)
+                assert x == min(set(els) - below), (b, mu, spanning)
+            assert span_set([b.element(y) for y in spanning], b) == set(els)
+
+
+def test_subgroup_generators_examples():
+    g = G(2, 4)  # coordinates (mod 4, mod 2)
+    cyclic = [(0, 0), (1, 0), (2, 0), (3, 0)]
+    assert subgroup_generators(g, 2, (2,), cyclic) == ((1, 0),)
+    socle = [(0, 0), (0, 1), (2, 0), (2, 1)]
+    assert subgroup_generators(g, 2, (1, 1), socle) == ((0, 1), (2, 0))
+    for exps in ((2,), (1,)):
+        with pytest.raises(ValueError):
+            subgroup_generators(g, 2, exps, socle)
+    with pytest.raises(ValueError):
+        subgroup_generators(g, 2, (1,), [(0, 0), (0, 3)])
 
 
 def test_quotient_examples():
