@@ -17,14 +17,26 @@ Tonelli-Shanks modulo p, then Hensel lifting to p^k (Cohen, §1.5).
 from __future__ import annotations
 
 from itertools import count
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import BoundExceeded
 
 # psi_13, the least strong pseudoprime to all of the bases below.
 PRIME_LIMIT = 3317044064679887385961981
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, int(p**0.5) + 1)))
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes p < n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p in range(n) if sieve[p])
+
+
+_SMALL_PRIMES = _primes_below(1000)
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:

@@ -17,7 +17,6 @@ prime-to-p part of the degree-zero class group.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .arith import isprime
@@ -31,7 +30,7 @@ from .errors import (
     exit_code_for,
 )
 from .extensions import TowerExtensionType
-from .finabelian import FiniteAbelianGroup, embeds_in, group_literal
+from .finabelian import FiniteAbelianGroup, _Record, embeds_in, group_literal
 from .quadfields import ClassGroup, class_group
 
 EXCLUDED_DISCRIMINANTS = (-4, -8)
@@ -56,19 +55,22 @@ class SplitSource(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class SplitData:
+class SplitData(_Record):
     """A resolved split group together with where it came from."""
 
-    source: SplitSource
-    group: FiniteAbelianGroup
+    __slots__ = ("source", "group")
+
+    def __init__(self, source: SplitSource, group: FiniteAbelianGroup) -> None:
+        self._init(source, group)
 
 
-@dataclass(frozen=True)
-class SplitTable:
+class SplitTable(_Record):
     """User split-group entries layered over the builtin table."""
 
-    user: Mapping[int, FiniteAbelianGroup] = field(default_factory=dict)
+    __slots__ = ("user",)
+
+    def __init__(self, user: Mapping[int, FiniteAbelianGroup] | None = None) -> None:
+        self._init({} if user is None else user)
 
     def lookup(self, discriminant: int) -> SplitData | None:
         if discriminant in self.user:
@@ -105,15 +107,17 @@ def resolve_split_data(cg: ClassGroup, table: SplitTable | None = None) -> Split
     return data
 
 
-@dataclass(frozen=True)
-class GaloisAbelianType:
+class GaloisAbelianType(_Record):
     """Isomorphism-type invariant of the abelianized absolute Galois group.
 
     The free rank (two) and the torsion tower are field-independent
     constants; two types agree exactly when their split groups do.
     """
 
-    split_group: FiniteAbelianGroup
+    __slots__ = ("split_group",)
+
+    def __init__(self, split_group: FiniteAbelianGroup) -> None:
+        self._init(split_group)
 
     @property
     def free_rank(self) -> int:
@@ -139,12 +143,17 @@ class GaloisAbelianType:
         }
 
 
-@dataclass(frozen=True)
-class FieldClassification:
-    discriminant: int
-    class_number: int
-    split: SplitData
-    abelian_type: GaloisAbelianType
+class FieldClassification(_Record):
+    __slots__ = ("discriminant", "class_number", "split", "abelian_type")
+
+    def __init__(
+        self,
+        discriminant: int,
+        class_number: int,
+        split: SplitData,
+        abelian_type: GaloisAbelianType,
+    ) -> None:
+        self._init(discriminant, class_number, split, abelian_type)
 
     def to_document(self) -> dict:
         return {
@@ -183,12 +192,11 @@ def types_isomorphic(t1: GaloisAbelianType, t2: GaloisAbelianType) -> bool:
     return t1.split_group == t2.split_group
 
 
-@dataclass(frozen=True)
-class BatchError:
-    discriminant: int
-    error: str
-    message: str
-    exit_code: int
+class BatchError(_Record):
+    __slots__ = ("discriminant", "error", "message", "exit_code")
+
+    def __init__(self, discriminant: int, error: str, message: str, exit_code: int) -> None:
+        self._init(discriminant, error, message, exit_code)
 
     @classmethod
     def from_exception(cls, discriminant: int, exc: GalabError) -> BatchError:
@@ -202,10 +210,11 @@ class BatchError:
         }
 
 
-@dataclass(frozen=True)
-class BatchCell:
-    split_group: FiniteAbelianGroup
-    discriminants: tuple[int, ...]
+class BatchCell(_Record):
+    __slots__ = ("split_group", "discriminants")
+
+    def __init__(self, split_group: FiniteAbelianGroup, discriminants: tuple[int, ...]) -> None:
+        self._init(split_group, discriminants)
 
     def to_document(self) -> dict:
         return {
@@ -214,10 +223,11 @@ class BatchCell:
         }
 
 
-@dataclass(frozen=True)
-class BatchPartition:
-    cells: tuple[BatchCell, ...]
-    errors: tuple[BatchError, ...]
+class BatchPartition(_Record):
+    __slots__ = ("cells", "errors")
+
+    def __init__(self, cells: tuple[BatchCell, ...], errors: tuple[BatchError, ...]) -> None:
+        self._init(cells, errors)
 
     def to_document(self) -> dict:
         return {
@@ -258,19 +268,19 @@ def classify_batch(
 # Global function fields
 
 
-@dataclass(frozen=True)
-class FunctionFieldInput:
+class FunctionFieldInput(_Record):
     """Invariants of a global function field with exact constant field of size p^n."""
 
-    characteristic: int
-    constant_exponent: int
-    class_group_deg0: FiniteAbelianGroup
+    __slots__ = ("characteristic", "constant_exponent", "class_group_deg0")
 
-    def __post_init__(self) -> None:
-        if not isprime(self.characteristic):
-            raise InvalidCharacteristic(f"{self.characteristic} is not prime")
-        if self.constant_exponent < 1:
+    def __init__(
+        self, characteristic: int, constant_exponent: int, class_group_deg0: FiniteAbelianGroup
+    ) -> None:
+        if not isprime(characteristic):
+            raise InvalidCharacteristic(f"{characteristic} is not prime")
+        if constant_exponent < 1:
             raise ValueError("constant field exponent must be >= 1")
+        self._init(characteristic, constant_exponent, class_group_deg0)
 
     @property
     def prime_to_p_exponent(self) -> int:
@@ -280,21 +290,21 @@ class FunctionFieldInput:
         return n
 
 
-@dataclass(frozen=True)
-class FunctionFieldType:
+class FunctionFieldType(_Record):
     """The complete isomorphism invariant of a function field's Galois abelian type."""
 
-    characteristic: int
-    prime_to_p_exponent: int
-    nonp_class: FiniteAbelianGroup
+    __slots__ = ("characteristic", "prime_to_p_exponent", "nonp_class")
 
-    def __post_init__(self) -> None:
-        if not isprime(self.characteristic):
-            raise InvalidCharacteristic(f"{self.characteristic} is not prime")
-        if self.prime_to_p_exponent % self.characteristic == 0:
+    def __init__(
+        self, characteristic: int, prime_to_p_exponent: int, nonp_class: FiniteAbelianGroup
+    ) -> None:
+        if not isprime(characteristic):
+            raise InvalidCharacteristic(f"{characteristic} is not prime")
+        if prime_to_p_exponent % characteristic == 0:
             raise ValueError("exponent invariant must be prime to the characteristic")
-        if self.characteristic in self.nonp_class.primes:
+        if characteristic in nonp_class.primes:
             raise ValueError("class-group invariant must have no p-part")
+        self._init(characteristic, prime_to_p_exponent, nonp_class)
 
     def to_document(self) -> dict:
         return {

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -131,18 +132,20 @@ def _load_descriptor(path: str):
 
 def _cmd_classgroup(args) -> tuple[dict, list[str], int]:
     cg = class_group(args.disc)
+    structure = group_literal(cg.structure)
+    forms = [str(f) for f in cg.representatives]
     payload = {
         "command": "classgroup",
         "discriminant": cg.discriminant,
         "class_number": cg.order,
-        "structure": group_literal(cg.structure),
-        "forms": [str(f) for f in cg.representatives],
+        "structure": structure,
+        "forms": forms,
     }
     human = [
         f"discriminant   {cg.discriminant}",
         f"class number   {cg.order}",
-        f"structure      {group_literal(cg.structure)}",
-        "forms          " + " ".join(str(f) for f in cg.representatives),
+        f"structure      {structure}",
+        "forms          " + " ".join(forms),
     ]
     return payload, human, 0
 
@@ -356,10 +359,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The parser, built by the first main() call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if not getattr(args, "subcommand", None):
             raise UsageError("a subcommand is required")
         payload, human, code = args.handler(args)

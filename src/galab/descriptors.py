@@ -16,12 +16,11 @@ one prime, both with multiplicity aleph-null at every exponent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .arith import isprime
 from .errors import BoundExceeded, FormatError, KindMismatch
-from .finabelian import FiniteAbelianGroup
+from .finabelian import FiniteAbelianGroup, _Record
 
 
 class Aleph0:
@@ -113,8 +112,7 @@ def _bool_from_json(v, key: str) -> bool:
     raise FormatError(f"bad {key} {v!r}: expected true or false")
 
 
-@dataclass(frozen=True)
-class LocalFactors:
+class LocalFactors(_Record):
     """Per-prime factor multiplicities of a descriptor.
 
     `free_rank` counts Z_l factors on the profinite side and Pruefer factors
@@ -123,22 +121,25 @@ class LocalFactors:
     cyclic map is then absorbed.
     """
 
-    prime: int
-    free_rank: Card = 0
-    cyclic: tuple[tuple[int, Card], ...] = ()
-    full_tower: bool = False
+    __slots__ = ("prime", "free_rank", "cyclic", "full_tower")
 
-    def __post_init__(self) -> None:
-        if not isprime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        if not _card_ok(self.free_rank):
+    def __init__(
+        self,
+        prime: int,
+        free_rank: Card = 0,
+        cyclic: tuple[tuple[int, Card], ...] = (),
+        full_tower: bool = False,
+    ) -> None:
+        if not isprime(prime):
+            raise ValueError(f"{prime} is not prime")
+        if not _card_ok(free_rank):
             raise ValueError("free rank must be a non-negative cardinal")
-        if self.full_tower:
-            object.__setattr__(self, "cyclic", ())
+        if full_tower:
+            self._init(prime, free_rank, (), full_tower)
             return
         cleaned = []
         seen = set()
-        for k, mult in self.cyclic:
+        for k, mult in cyclic:
             if k < 1:
                 raise ValueError("cyclic exponents must be >= 1")
             if k in seen:
@@ -148,7 +149,7 @@ class LocalFactors:
                 raise ValueError("multiplicity must be a non-negative cardinal")
             if mult != 0:
                 cleaned.append((k, mult))
-        object.__setattr__(self, "cyclic", tuple(sorted(cleaned)))
+        self._init(prime, free_rank, tuple(sorted(cleaned)), full_tower)
 
     @classmethod
     def make(
@@ -174,31 +175,35 @@ class LocalFactors:
         return 0
 
 
-@dataclass(frozen=True)
-class _GroupDescriptor:
-    """Shared structure of the two descriptor kinds; canonicalized on build."""
+class _GroupDescriptor(_Record):
+    """Shared structure of the two descriptor kinds; canonicalized on build.
 
-    free_rank: Card = 0
-    local_factors: tuple[LocalFactors, ...] = ()
-    all_primes_tower: bool = False
+    Each kind declares the fields itself: the record methods read the
+    `__slots__` of the instance's own class.
+    """
 
-    def __post_init__(self) -> None:
-        if not _card_ok(self.free_rank):
+    __slots__ = ()
+
+    def __init__(
+        self,
+        free_rank: Card = 0,
+        local_factors: tuple[LocalFactors, ...] = (),
+        all_primes_tower: bool = False,
+    ) -> None:
+        if not _card_ok(free_rank):
             raise ValueError("free rank must be a non-negative cardinal")
         seen = set()
         cleaned = []
-        for rec in self.local_factors:
+        for rec in local_factors:
             if rec.prime in seen:
                 raise ValueError(f"duplicate prime {rec.prime}")
             seen.add(rec.prime)
-            if self.all_primes_tower:
+            if all_primes_tower:
                 # the tower pattern absorbs any cyclic data at every prime
                 rec = LocalFactors(rec.prime, rec.free_rank, (), False)
             if not rec.is_empty:
                 cleaned.append(rec)
-        object.__setattr__(
-            self, "local_factors", tuple(sorted(cleaned, key=lambda r: r.prime))
-        )
+        self._init(free_rank, tuple(sorted(cleaned, key=lambda r: r.prime)), all_primes_tower)
 
     @property
     def kind(self) -> str:
@@ -215,13 +220,11 @@ class _GroupDescriptor:
             return LocalFactors(prime, 0, (), True)
         return LocalFactors(prime, 0, (), False)
 
-    def _dual_fields(self):
-        return self.free_rank, self.local_factors, self.all_primes_tower
 
-
-@dataclass(frozen=True)
 class ProfiniteDescriptor(_GroupDescriptor):
     """Direct product of Z-hat (free_rank), Z_l and cyclic factors."""
+
+    __slots__ = ("free_rank", "local_factors", "all_primes_tower")
 
     @property
     def kind(self) -> str:
@@ -232,9 +235,10 @@ class ProfiniteDescriptor(_GroupDescriptor):
         return cls(0, _locals_of_finite(g), False)
 
 
-@dataclass(frozen=True)
 class DiscreteTorsionDescriptor(_GroupDescriptor):
     """Direct sum of Q/Z (free_rank), Pruefer and cyclic factors."""
+
+    __slots__ = ("free_rank", "local_factors", "all_primes_tower")
 
     @property
     def kind(self) -> str:
@@ -275,14 +279,14 @@ def dual_profinite(d: ProfiniteDescriptor) -> DiscreteTorsionDescriptor:
     """
     if not isinstance(d, ProfiniteDescriptor):
         raise KindMismatch("dual_profinite expects a profinite descriptor")
-    return DiscreteTorsionDescriptor(*d._dual_fields())
+    return DiscreteTorsionDescriptor(*d._values())
 
 
 def dual_discrete(d: DiscreteTorsionDescriptor) -> ProfiniteDescriptor:
     """Inverse relabelling; dual_discrete(dual_profinite(d)) == d exactly."""
     if not isinstance(d, DiscreteTorsionDescriptor):
         raise KindMismatch("dual_discrete expects a discrete torsion descriptor")
-    return ProfiniteDescriptor(*d._dual_fields())
+    return ProfiniteDescriptor(*d._values())
 
 
 def descriptors_equal(a: Descriptor, b: Descriptor) -> bool:

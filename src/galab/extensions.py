@@ -15,7 +15,6 @@ only on survivors, to find the canonical witness copy of A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -24,6 +23,7 @@ from .errors import BoundExceeded
 from .finabelian import (
     FiniteAbelianGroup,
     GroupElement,
+    _Record,
     from_relations_with_map,
     group_literal,
     l_subgroups,
@@ -36,8 +36,7 @@ from .finabelian import (
 DEFAULT_ENUMERATION_BOUND = 2 ** 10
 
 
-@dataclass(frozen=True)
-class TruncationSpec:
+class TruncationSpec(_Record):
     """A finite shadow of the extension problem.
 
     `sub` is the group glued in at the bottom, `quotient_exponents` the
@@ -45,24 +44,27 @@ class TruncationSpec:
     `div_level` the divisibility constraint m (sub contained in l^m B).
     """
 
-    prime: int
-    sub: FiniteAbelianGroup
-    quotient_exponents: tuple[int, ...]
-    div_level: int = 0
+    __slots__ = ("prime", "sub", "quotient_exponents", "div_level")
 
-    def __post_init__(self) -> None:
-        if not isprime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        object.__setattr__(self, "quotient_exponents", tuple(self.quotient_exponents))
-        exps = self.quotient_exponents
+    def __init__(
+        self,
+        prime: int,
+        sub: FiniteAbelianGroup,
+        quotient_exponents: tuple[int, ...],
+        div_level: int = 0,
+    ) -> None:
+        if not isprime(prime):
+            raise ValueError(f"{prime} is not prime")
+        exps = tuple(quotient_exponents)
         if any(e < 1 for e in exps):
             raise ValueError("quotient exponents must be >= 1")
         if any(a >= b for a, b in zip(exps, exps[1:])):
             raise ValueError("quotient exponents must be strictly ascending")
-        if any(p != self.prime for p in self.sub.primes):
-            raise ValueError(f"sub group must be a {self.prime}-group")
-        if self.div_level < 0:
+        if any(p != prime for p in sub.primes):
+            raise ValueError(f"sub group must be a {prime}-group")
+        if div_level < 0:
             raise ValueError("div_level must be non-negative")
+        self._init(prime, sub, exps, div_level)
 
     @property
     def quotient_group(self) -> FiniteAbelianGroup:
@@ -73,8 +75,7 @@ class TruncationSpec:
         return self.sub.order * self.quotient_group.order
 
 
-@dataclass(frozen=True)
-class SurvivorClass:
+class SurvivorClass(_Record):
     """One isomorphism class of surviving extensions, with its witness.
 
     `sub_generators` generate a copy of the sub inside `group` that is
@@ -82,17 +83,28 @@ class SurvivorClass:
     `quotient_form` re-records that quotient's canonical form.
     """
 
-    group: FiniteAbelianGroup
-    sub_generators: tuple[GroupElement, ...]
-    quotient_form: FiniteAbelianGroup
-    max_level: int
+    __slots__ = ("group", "sub_generators", "quotient_form", "max_level")
+
+    def __init__(
+        self,
+        group: FiniteAbelianGroup,
+        sub_generators: tuple[GroupElement, ...],
+        quotient_form: FiniteAbelianGroup,
+        max_level: int,
+    ) -> None:
+        self._init(group, sub_generators, quotient_form, max_level)
 
 
-@dataclass(frozen=True)
-class ExtensionReport:
-    spec: TruncationSpec
-    classes: tuple[SurvivorClass, ...]
-    level_counts: tuple[tuple[int, int], ...]
+class ExtensionReport(_Record):
+    __slots__ = ("spec", "classes", "level_counts")
+
+    def __init__(
+        self,
+        spec: TruncationSpec,
+        classes: tuple[SurvivorClass, ...],
+        level_counts: tuple[tuple[int, int], ...],
+    ) -> None:
+        self._init(spec, classes, level_counts)
 
     @property
     def counts(self) -> dict[int, int]:
@@ -262,6 +274,8 @@ def _max_survival(b: FiniteAbelianGroup, spec: TruncationSpec) -> tuple[int, tup
 
 
 def _check_bound(spec: TruncationSpec, bound: int) -> None:
+    if bound < 1:
+        raise ValueError(f"the enumeration bound must be >= 1, got {bound}")
     if spec.total_order > bound:
         raise BoundExceeded(
             f"search space of order {spec.total_order} exceeds the enumeration bound {bound}"
@@ -334,22 +348,21 @@ def canonical_extension_group(spec: TruncationSpec) -> FiniteAbelianGroup:
     return canonical_extension_with_witness(spec)[0]
 
 
-@dataclass(frozen=True)
-class TowerExtensionType:
+class TowerExtensionType(_Record):
     """Isomorphism invariant of the unique tower extension determined by a split group.
 
     Values compare equal exactly when the primes agree and the split groups
     are isomorphic; a trivial split group gives the bare tower type itself.
     """
 
-    prime: int
-    split: FiniteAbelianGroup
+    __slots__ = ("prime", "split")
 
-    def __post_init__(self) -> None:
-        if not isprime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        if any(p != self.prime for p in self.split.primes):
-            raise ValueError(f"split group must be a {self.prime}-group")
+    def __init__(self, prime: int, split: FiniteAbelianGroup) -> None:
+        if not isprime(prime):
+            raise ValueError(f"{prime} is not prime")
+        if any(p != prime for p in split.primes):
+            raise ValueError(f"split group must be a {prime}-group")
+        self._init(prime, split)
 
     @classmethod
     def pure_tower(cls, prime: int) -> TowerExtensionType:
@@ -364,14 +377,21 @@ class TowerExtensionType:
 # Uniqueness sweeps
 
 
-@dataclass(frozen=True)
-class UniquenessCase:
-    exponents: tuple[int, ...]
-    level_counts: tuple[tuple[int, int], ...]
-    saturation_level: int
-    survivors: tuple[FiniteAbelianGroup, ...]
-    canonical: FiniteAbelianGroup
-    passed: bool
+class UniquenessCase(_Record):
+    __slots__ = (
+        "exponents", "level_counts", "saturation_level", "survivors", "canonical", "passed"
+    )
+
+    def __init__(
+        self,
+        exponents: tuple[int, ...],
+        level_counts: tuple[tuple[int, int], ...],
+        saturation_level: int,
+        survivors: tuple[FiniteAbelianGroup, ...],
+        canonical: FiniteAbelianGroup,
+        passed: bool,
+    ) -> None:
+        self._init(exponents, level_counts, saturation_level, survivors, canonical, passed)
 
     def to_document(self) -> dict:
         return {
@@ -384,11 +404,13 @@ class UniquenessCase:
         }
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
-    prime: int
-    sub: FiniteAbelianGroup
-    cases: tuple[UniquenessCase, ...]
+class UniquenessReport(_Record):
+    __slots__ = ("prime", "sub", "cases")
+
+    def __init__(
+        self, prime: int, sub: FiniteAbelianGroup, cases: tuple[UniquenessCase, ...]
+    ) -> None:
+        self._init(prime, sub, cases)
 
     @property
     def all_passed(self) -> bool:
@@ -434,11 +456,13 @@ def verify_uniqueness(
 # Diagram checks on the dual model
 
 
-@dataclass(frozen=True)
-class DiagramCheck:
-    passed: bool
-    reason: str | None = None
-    counterexample: GroupElement | None = None
+class DiagramCheck(_Record):
+    __slots__ = ("passed", "reason", "counterexample")
+
+    def __init__(
+        self, passed: bool, reason: str | None = None, counterexample: GroupElement | None = None
+    ) -> None:
+        self._init(passed, reason, counterexample)
 
     def __bool__(self) -> bool:
         return self.passed

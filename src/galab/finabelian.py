@@ -13,7 +13,6 @@ at the desk scale this library targets (group orders up to ~2**10).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -42,23 +41,61 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+class _Record:
+    """Base of galab's immutable value types; the fields are the `__slots__`, in order.
+
+    A subclass's `__init__` validates its arguments and stores the fields with
+    `_init`.  Two records are equal, and hash alike, exactly when they are of
+    the same class with equal fields; assigning a field raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuild through __init__: the default sets each slot by setattr, which is refused
+        return type(self), self._values()
+
+
 # ---------------------------------------------------------------------------
 # Integer matrices and Smith normal form
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(_Record):
     """Immutable integer matrix with row-major entries."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
+        self._init(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> IntegerMatrix:
@@ -390,19 +427,28 @@ def group_literal(g: FiniteAbelianGroup) -> str:
     return ",".join(str(d) for d in sorted(g.factor_orders))
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Record):
     """An element of a FiniteAbelianGroup, one residue per cyclic factor."""
 
-    group: FiniteAbelianGroup
-    coords: tuple[int, ...]
+    __slots__ = ("group", "coords")
 
-    def __post_init__(self) -> None:
-        orders = self.group.factor_orders
-        if len(self.coords) != len(orders):
+    def __init__(self, group: FiniteAbelianGroup, coords: tuple[int, ...]) -> None:
+        orders = group.factor_orders
+        if len(coords) != len(orders):
             raise ValueError("coordinate count does not match factor count")
-        if any(not 0 <= c < d for c, d in zip(self.coords, orders)):
+        if any(not 0 <= c < d for c, d in zip(coords, orders)):
             raise ValueError("coordinates out of range")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coords", coords)
+
+    # spelled out rather than inherited: elements are built and compared in bulk
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.coords) == (other.group, other.coords)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.coords))
 
     def _check(self, other: GroupElement) -> None:
         if self.group != other.group:

@@ -14,12 +14,11 @@ only p^e classes.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .arith import factorint, sqrt_mod
 from .errors import BoundExceeded, DiscriminantMismatch, NotFundamental
-from .finabelian import FiniteAbelianGroup, _xgcd
+from .finabelian import FiniteAbelianGroup, _Record, _xgcd
 
 # Largest |D| whose reduced forms are enumerated.  The listing takes about
 # sqrt|D| steps, but h, the number of forms held and printed, can reach
@@ -51,17 +50,26 @@ def _require_fundamental(d: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class BinaryQuadraticForm:
+class BinaryQuadraticForm(_Record):
     """A positive-definite integral binary quadratic form a x^2 + b xy + c y^2."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self) -> None:
-        if self.a <= 0 or self.discriminant() >= 0:
-            raise ValueError(f"form ({self.a},{self.b},{self.c}) is not positive definite")
+    def __init__(self, a: int, b: int, c: int) -> None:
+        if a <= 0 or b * b - 4 * a * c >= 0:
+            raise ValueError(f"form ({a},{b},{c}) is not positive definite")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+
+    # spelled out rather than inherited: the class group builds and hashes forms in bulk
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c))
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
@@ -256,13 +264,18 @@ def form_power(f: BinaryQuadraticForm, k: int) -> BinaryQuadraticForm:
 # Class groups
 
 
-@dataclass(frozen=True)
-class ClassGroup:
+class ClassGroup(_Record):
     """The form class group of a fundamental discriminant."""
 
-    discriminant: int
-    representatives: tuple[BinaryQuadraticForm, ...]
-    structure: FiniteAbelianGroup
+    __slots__ = ("discriminant", "representatives", "structure")
+
+    def __init__(
+        self,
+        discriminant: int,
+        representatives: tuple[BinaryQuadraticForm, ...],
+        structure: FiniteAbelianGroup,
+    ) -> None:
+        self._init(discriminant, representatives, structure)
 
     @property
     def order(self) -> int:

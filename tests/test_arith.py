@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import galab
-from galab.arith import PRIME_LIMIT, factorint, isprime, sqrt_mod
+from galab.arith import PRIME_LIMIT, _SMALL_PRIMES, _primes_below, factorint, isprime, sqrt_mod
 from galab.errors import BoundExceeded
 
 CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 62745]
@@ -137,12 +137,22 @@ def test_sqrt_mod_rejects_unsupported_moduli():
     assert sqrt_mod(9, 3) == [0]
 
 
+def test_small_primes_are_sieved():
+    assert _SMALL_PRIMES == tuple(sympy.primerange(2, 1000))
+    for n in (2, 3, 4, 5, 30, 1001):
+        assert _primes_below(n) == tuple(sympy.primerange(2, n)), n
+
+
 def test_package_import_does_not_load_sympy():
+    # nor dataclasses and inspect, whose import and code generation cost each CLI call
     src = Path(galab.__file__).resolve().parents[1]
-    probe = "import sys, galab, galab.cli; print('sympy' in sys.modules)"
+    probe = (
+        "import sys, galab, galab.cli; "
+        "print(sorted(m for m in ('sympy', 'dataclasses', 'inspect') if m in sys.modules))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, check=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import galab
+from galab import cli
 from galab.cli import build_parser, load_split_table, main
 from galab.descriptors import (
     ALEPH0,
@@ -267,6 +268,22 @@ def test_verify_uniqueness_bound_must_be_positive(capsys):
     # the default bound is the library's
     args = build_parser().parse_args(["verify-uniqueness", "--prime", "2", "--exponents", "1"])
     assert args.bound == DEFAULT_ENUMERATION_BOUND
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    # a fresh parser's output first; later calls share one parser, a failed parse
+    # leaves nothing behind, and the append default does not accumulate
+    argv = ("compare", "--disc", "-35", "--disc", "-51", "--json")
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    fresh = run(capsys, *argv)
+    assert fresh[0] == 0 and json.loads(fresh[1])["discriminants"] == [-35, -51]
+    assert run(capsys, *argv) == fresh
+    code, out, err = run(capsys, "compare", "--disc", "-35", "--disc", "x")
+    assert (code, out) == (1, "") and err.startswith("usage error:")
+    assert run(capsys, *argv) == fresh
+    assert len(built) == 1
 
 
 def test_dual_and_truncate_cli(capsys, tmp_path):

@@ -132,6 +132,18 @@ def test_bound_exceeded():
     enumerate_extensions(spec(2, G(2), [1, 2, 3]), bound=1024)
 
 
+@pytest.mark.parametrize("bound", [0, -5])
+def test_bound_must_be_positive(bound):
+    s = spec(2, G(2), [1, 2])
+    message = f"the enumeration bound must be >= 1, got {bound}"
+    with pytest.raises(ValueError, match=message):
+        enumerate_extensions(s, bound)
+    with pytest.raises(ValueError, match=message):
+        verify_uniqueness(2, G(2), [[1, 2]], bound)
+    with pytest.raises(ValueError, match=message):
+        verify_diagram(2, G(2), s, 1, bound=bound)
+
+
 def test_report_document_stable():
     report = enumerate_extensions(spec(2, G(2), [2], m=1))
     doc = report.to_document()
