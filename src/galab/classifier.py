@@ -52,7 +52,6 @@ class SplitSource(enum.Enum):
     BUILTIN_TABLE = "builtin_table"
     USER_SUPPLIED = "user_supplied"
     FORCED_TRIVIAL = "forced_trivial"
-    UNKNOWN = "unknown"
 
 
 class SplitData(_Record):

@@ -77,9 +77,12 @@ def load_split_table(path: str) -> SplitTable:
     """Parse a split-table file: one "discriminant: group literal" per line.
 
     Braces and trailing commas are tolerated so a single-entry "{-35: 2}"
-    document parses too.  Errors report the offending line number.
+    document parses too.  Each distinct literal is parsed once.  Errors
+    report the offending line number; a repeated discriminant names both.
     """
     user: dict[int, FiniteAbelianGroup] = {}
+    lines: dict[int, int] = {}  # discriminant -> line that gave it
+    groups: dict[str, FiniteAbelianGroup] = {}  # literal text -> parsed group
     for lineno, line in _read_lines(path):
         entry = line.strip().lstrip("{").rstrip("}").strip().rstrip(",").strip()
         if not entry:
@@ -93,10 +96,18 @@ def load_split_table(path: str) -> SplitTable:
             raise FormatError(
                 f"{path} line {lineno}: bad discriminant {disc_text.strip()!r}"
             ) from None
-        try:
-            user[disc] = parse_group_literal(group_text.strip())
-        except ValueError as exc:
-            raise FormatError(f"{path} line {lineno}: {exc}") from None
+        if disc in lines:
+            raise FormatError(
+                f"{path} line {lineno}: discriminant {disc} already given on line {lines[disc]}"
+            )
+        lines[disc] = lineno
+        group_text = group_text.strip()
+        if group_text not in groups:
+            try:
+                groups[group_text] = parse_group_literal(group_text)
+            except ValueError as exc:
+                raise FormatError(f"{path} line {lineno}: {exc}") from None
+        user[disc] = groups[group_text]
     return SplitTable(user=user)
 
 
@@ -111,15 +122,7 @@ def _read_discriminants(path: str) -> list[int]:
 
 
 def _split_table_from_args(args: argparse.Namespace) -> SplitTable:
-    table = load_split_table(args.split_table) if getattr(args, "split_table", None) else SplitTable()
-    inline = getattr(args, "split", None)
-    if inline is not None:
-        discs = args.disc if isinstance(args.disc, list) else [args.disc]
-        user = dict(table.user)
-        for d in discs:
-            user[d] = _parse_group(inline)
-        table = SplitTable(user=user)
-    return table
+    return load_split_table(args.split_table) if args.split_table else SplitTable()
 
 
 def _load_descriptor(path: str):
@@ -152,6 +155,8 @@ def _cmd_classgroup(args) -> tuple[dict, list[str], int]:
 
 def _cmd_classify(args) -> tuple[dict, list[str], int]:
     table = _split_table_from_args(args)
+    if args.split is not None:
+        table = SplitTable(user={**table.user, args.disc: _parse_group(args.split)})
     fc = classify_field(args.disc, table)
     payload = {"command": "classify", **fc.to_document()}
     t = fc.abelian_type.to_document()

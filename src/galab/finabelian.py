@@ -26,21 +26,6 @@ def _factor(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(factorint(n).items())
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) = a*x + b*y and g >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 class _Record:
     """Base of galab's immutable value types; the fields are the `__slots__`, in order.
 

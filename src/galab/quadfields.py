@@ -4,11 +4,10 @@ Reduced positive-definite forms of a fundamental discriminant represent the
 ideal classes of the maximal order.  They are listed from the square roots
 of D modulo 4a for each admissible a (Tonelli-Shanks, Hensel lifting and
 CRT; Cohen, A Course in Computational Algebraic Number Theory, §1.5 and
-§5.3), so the listing costs about sqrt|D| steps.  Composition is computed by
-multiplying the corresponding ideals (an exact 2-column lattice reduction)
-and reducing the resulting form.  The class group structure is read off
-each Sylow p-subgroup, spanned by the images of f -> f^(h/p^e), which holds
-only p^e classes.
+§5.3), so the listing costs about sqrt|D| steps.  Classes compose by
+Shanks' composition (Cohen, Algorithm 5.4.7) followed by reduction.  The
+class group structure is read off each Sylow p-subgroup, spanned by the
+images of f -> f^(h/p^e), which holds only p^e classes.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from math import gcd, isqrt
 
 from .arith import factorint, sqrt_mod
 from .errors import BoundExceeded, DiscriminantMismatch, NotFundamental
-from .finabelian import FiniteAbelianGroup, _Record, _xgcd
+from .finabelian import FiniteAbelianGroup, _Record
 
 # Largest |D| whose reduced forms are enumerated.  The listing takes about
 # sqrt|D| steps, but h, the number of forms held and printed, can reach
@@ -188,61 +187,35 @@ def class_number(d: int) -> int:
     return len(reduced_forms(d))
 
 
-# ---------------------------------------------------------------------------
-# Composition through ideal multiplication
-#
-# A form (a, b, c) of discriminant D corresponds to the ideal
-# Z a + Z (omega - t) with omega = (b0 + sqrt(D))/2, b0 = D mod 2 and
-# t = (b + b0)/2.  Multiplying two such ideals gives a sublattice spanned by
-# four products; its Hermite basis [n, p + g*omega] has content exactly g,
-# and dividing it out returns a form of the product class.
-
-
-def _hnf_two_columns(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """Hermite basis ((n, 0), (p, g)) of the lattice spanned by (x, y) rows."""
-    px, py = 0, 0
-    for x, y in rows:
-        if y == 0:
-            continue
-        g, s, t = _xgcd(py, y)
-        px, py = s * px + t * x, g
-    ints = [x for x, y in rows if y == 0]
-    for x, y in rows:
-        if y:
-            q = y // py
-            ints.append(x - q * px)
-    n = 0
-    for x in ints:
-        n = gcd(n, x)
-    if n == 0 or py == 0:
-        raise ValueError("degenerate lattice in ideal product")
-    return n, px % n, py
-
-
 def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticForm:
-    """Gauss composition of classes, as reduced forms."""
+    """Gauss composition of classes, as reduced forms.
+
+    Shanks' formula (Cohen, Algorithm 5.4.7), with the form of smaller a
+    first.  A product that is not a form of discriminant D raises
+    ArithmeticError.
+    """
     d = f.discriminant()
     if d != g.discriminant():
         raise DiscriminantMismatch(
             f"cannot compose forms of discriminants {d} and {g.discriminant()}"
         )
-    b0 = d % 2
-    n0 = (b0 * b0 - d) // 4
-    t1 = (f.b + b0) // 2
-    t2 = (g.b + b0) // 2
-    rows = [
-        (f.a * g.a, 0),
-        (-f.a * t2, f.a),
-        (-g.a * t1, g.a),
-        (t1 * t2 - n0, b0 - t1 - t2),
-    ]
-    n, p, content = _hnf_two_columns(rows)
-    if n % content or p % content:
-        raise ArithmeticError("ideal product content mismatch")
-    a = n // content
-    t = -(p // content)
-    b = 2 * t - b0
-    c = (b * b - d) // (4 * a)
+    if f.a > g.a:
+        f, g = g, f
+    a1, a2 = f.a, g.a
+    s = (f.b + g.b) // 2
+    n = g.b - s
+    m = gcd(a1, a2)  # Cohen's d; y1*a2 = m (mod a1) and x2*s - y2*m = d1 = gcd(s, m)
+    y1 = pow(a2 // m, -1, a1 // m)
+    d1 = gcd(s, m)
+    x2 = pow(s // d1, -1, m // d1)
+    y2 = (x2 * s - d1) // m
+    v1, v2 = a1 // d1, a2 // d1
+    r = (y1 * y2 * n - x2 * g.c) % v1
+    a = v1 * v2
+    b = g.b + 2 * r * v2
+    c, rem = divmod(b * b - d, 4 * a)
+    if rem:
+        raise ArithmeticError("Shanks composition left the discriminant")
     return reduce_form(BinaryQuadraticForm(a, b, c))
 
 

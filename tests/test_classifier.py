@@ -146,6 +146,14 @@ def test_prime_class_number_dichotomy():
     assert seen == {G(), G(2)}
 
 
+def test_builtin_table_is_the_odd_class_number_two_fields_five_mod_eight():
+    # a description of the data, not a rule the classifier applies
+    two = [d for d in fundamental_discriminants(5000) if class_number(d) == 2]
+    assert len(two) == 18
+    assert [d for d in two if d % 8 == 5] == list(SPLIT_TABLE_DISCRIMINANTS)
+    assert [d for d in two if d % 2 and d % 8 != 5] == [-15]
+
+
 # -- batches ---------------------------------------------------------------------
 
 

@@ -174,6 +174,34 @@ def test_load_split_table_line_errors(tmp_path):
         load_split_table(str(path))
 
 
+def test_load_split_table_parses_each_literal_once(monkeypatch, tmp_path):
+    calls = 0
+    parse = cli.parse_group_literal
+
+    def counted(text):
+        nonlocal calls
+        calls += 1
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse_group_literal", counted)
+    literals = ("2", "3", "2,4")
+    path = tmp_path / "table.txt"
+    path.write_text("".join(f"{-3 - i}: {literals[i % 3]}\n" for i in range(300)))
+    table = load_split_table(str(path))
+    assert calls == 3
+    assert len(table.user) == 300 and table.user[-5] == G(2, 4)
+
+
+def test_split_table_repeated_discriminant(capsys, tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text("-35: 4\n-51: 2\n-35: 2\n")
+    with pytest.raises(FormatError, match="line 3: discriminant -35 already given on line 1"):
+        load_split_table(str(path))
+    code, out, err = run(capsys, "classify", "--disc", "-35", "--split-table", str(path))
+    assert code == 2 and out == ""
+    assert "line 3" in err and "line 1" in err
+
+
 def test_classify_with_table_file(capsys, tmp_path):
     path = tmp_path / "table.txt"
     path.write_text("-23: 3\n")

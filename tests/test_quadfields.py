@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from sympy import primefactors
@@ -86,6 +86,54 @@ def counting_class_group(d: int) -> ClassGroup:
             exps.extend([k] * (at_least[k - 1] - at_least[k]))
         primary[p] = exps
     return ClassGroup(d, tuple(forms), FiniteAbelianGroup._from_primary(primary))
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = a*x + b*y and g >= 0."""
+    old_r, r, old_x, x, old_y, y = a, b, 1, 0, 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r < 0:
+        old_r, old_x, old_y = -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
+
+
+def ideal_product_compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticForm:
+    """Oracle: composition by multiplying ideals.
+
+    A form (a, b, c) of discriminant D corresponds to the ideal
+    Z a + Z (omega - t) with omega = (b0 + sqrt(D))/2, b0 = D mod 2 and
+    t = (b + b0)/2.  The product of two such ideals is spanned by four
+    products, written as rows (x, y) for x + y*omega; its Hermite basis
+    [n, p + content*omega] divided by its content is the product form.
+    """
+    d = f.discriminant()
+    assert d == g.discriminant()
+    b0 = d % 2
+    n0 = (b0 * b0 - d) // 4
+    t1, t2 = (f.b + b0) // 2, (g.b + b0) // 2
+    rows = [
+        (f.a * g.a, 0),
+        (-f.a * t2, f.a),
+        (-g.a * t1, g.a),
+        (t1 * t2 - n0, b0 - t1 - t2),
+    ]
+    px, py = 0, 0
+    for x, y in rows:
+        if y:
+            py, s, t = _xgcd(py, y)
+            px = s * px + t * x
+    n = 0
+    for x, y in rows:
+        n = gcd(n, x - (y // py) * px)
+    p = px % n
+    assert n % py == 0 and p % py == 0, "ideal product content mismatch"
+    a = n // py
+    b = -2 * (p // py) - b0
+    return reduce_form(BQF(a, b, (b * b - d) // (4 * a)))
 
 
 # one discriminant per log stratum of 10^7 <= |D| < 10^8, with structures from the counting oracle
@@ -276,6 +324,51 @@ def test_group_axioms_small():
         # associativity, exhaustively
         for f, g, h in itertools.product(forms, repeat=3):
             assert table[(table[(f, g)], h)] == table[(f, table[(g, h)])]
+
+
+def _sl2_move(rng: random.Random, f: BinaryQuadraticForm) -> BinaryQuadraticForm:
+    """An equivalent form, a few random translations and swaps away from f."""
+    a, b, c = f.a, f.b, f.c
+    for _ in range(rng.randrange(1, 5)):
+        k = rng.randrange(-3, 4)
+        b, c = b + 2 * k * a, c + k * b + k * k * a
+        if rng.random() < 0.5:
+            a, b, c = c, -b, a
+    return BQF(a, b, c)
+
+
+def _primitive_reduced_forms(d: int) -> list[BinaryQuadraticForm]:
+    forms = (BQF(*abc) for abc in sorted(brute_force_reduced_forms(d)))
+    return [f for f in forms if gcd(f.a, f.b, f.c) == 1]
+
+
+def test_compose_matches_ideal_product_oracle():
+    # every ordered pair of reduced forms of each fundamental |D| < 1000
+    pairs = 0
+    for d in fundamental_discriminants(1000):
+        forms = reduced_forms(d)
+        for f, g in itertools.product(forms, repeat=2):
+            assert compose(f, g) == ideal_product_compose(f, g), (f, g)
+        pairs += len(forms) ** 2
+    assert pairs == 43097
+    rng = random.Random(5447)
+    # primitive pairs moved off reduced form, non-fundamental D included
+    non_fundamental = 0
+    for d in range(-3, -2000, -1):
+        if d % 4 in (2, 3) or rng.random() < 0.8:
+            continue
+        forms = _primitive_reduced_forms(d)
+        non_fundamental += not is_fundamental(d)
+        for _ in range(10):
+            f, g = (_sl2_move(rng, rng.choice(forms)) for _ in range(2))
+            assert compose(f, g) == ideal_product_compose(f, g), (f, g)
+    assert non_fundamental > 50
+    # random pairs at the large panel discriminants
+    for d in LARGE_PANEL:
+        forms = reduced_forms(d)
+        for _ in range(300):
+            f, g = rng.choice(forms), rng.choice(forms)
+            assert compose(f, g) == ideal_product_compose(f, g), (f, g)
 
 
 def test_form_power():
