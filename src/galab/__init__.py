@@ -62,7 +62,6 @@ from .extensions import (
 from .finabelian import (
     FiniteAbelianGroup,
     GroupElement,
-    IntegerMatrix,
     abelian_groups_of_order,
     dual_finite,
     from_relations,

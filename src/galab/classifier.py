@@ -41,11 +41,7 @@ SPLIT_TABLE_DISCRIMINANTS = (
 )
 
 
-def builtin_split_table() -> dict[int, FiniteAbelianGroup]:
-    return {d: FiniteAbelianGroup(2) for d in SPLIT_TABLE_DISCRIMINANTS}
-
-
-_BUILTIN_SPLIT_TABLE = builtin_split_table()
+_BUILTIN_SPLIT_TABLE = {d: FiniteAbelianGroup(2) for d in SPLIT_TABLE_DISCRIMINANTS}
 
 
 class SplitSource(enum.Enum):
@@ -77,11 +73,6 @@ class SplitTable(_Record):
         if discriminant in _BUILTIN_SPLIT_TABLE:
             return SplitData(SplitSource.BUILTIN_TABLE, _BUILTIN_SPLIT_TABLE[discriminant])
         return None
-
-    def merged(self) -> dict[int, FiniteAbelianGroup]:
-        out = builtin_split_table()
-        out.update(self.user)
-        return out
 
 
 def resolve_split_data(cg: ClassGroup, table: SplitTable | None = None) -> SplitData:

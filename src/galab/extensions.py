@@ -24,7 +24,6 @@ from .finabelian import (
     FiniteAbelianGroup,
     GroupElement,
     _Record,
-    from_relations_with_map,
     group_literal,
     l_subgroups,
     partitions_desc,
@@ -276,9 +275,14 @@ def _max_survival(b: FiniteAbelianGroup, spec: TruncationSpec) -> tuple[int, tup
 def _check_bound(spec: TruncationSpec, bound: int) -> None:
     if bound < 1:
         raise ValueError(f"the enumeration bound must be >= 1, got {bound}")
-    if spec.total_order > bound:
+    # l >= 2, so l^n > bound once n reaches the bit length of bound.  l^n is built, and
+    # printed in full, only for n below twice that length; beyond, n alone decides.
+    l = spec.prime
+    n = sum(spec.sub.exponents_at(l)) + sum(spec.quotient_exponents)
+    order = l ** n if n < 2 * bound.bit_length() else None
+    if order is None or order > bound:
         raise BoundExceeded(
-            f"search space of order {spec.total_order} exceeds the enumeration bound {bound}"
+            f"search space of order {order or f'{l}^{n}'} exceeds the enumeration bound {bound}"
         )
 
 
@@ -320,26 +324,32 @@ def canonical_extension_with_witness(
     Presentation: one generator a_j per cyclic factor of the sub (order
     l^e_j) and one generator x_i per quotient exponent k_i, with relations
     l^e_j a_j = 0 and l^k_i x_i = a_j(i), the x_i assigned to the a_j round
-    robin.  With a trivial sub the x_i stay free cyclic summands.
+    robin.  Say a_j gets the x_i with exponents k_1 < ... < k_t.  Then
+    y_i = x_i - l^(k_t - k_i) x_t has order l^k_i, so that part of the
+    presentation is Z/l^(e_j + k_t) on x_t, with a_j = l^k_t x_t, plus
+    Z/l^k_i on y_i for each i < t.  An a_j with no x_i stays Z/l^e_j; with a
+    trivial sub the x_i stay free cyclic summands.  The witness places each
+    a_j in the group's canonical coordinates, exponents descending.
     """
     l = spec.prime
-    sub_orders = spec.sub.factor_orders
-    r = len(sub_orders)
-    exps = spec.quotient_exponents
-    g = r + len(exps)
-    rows = []
-    for j, order in enumerate(sub_orders):
-        row = [0] * g
-        row[j] = order
-        rows.append(row)
-    for i, k in enumerate(exps):
-        row = [0] * g
-        row[r + i] = l ** k
-        if r:
-            row[i % r] = -1
-        rows.append(row)
-    group, images = from_relations_with_map(g, rows)
-    witness = tuple(GroupElement(group, images[j]) for j in range(r))
+    sub = spec.sub.exponents_at(l)
+    if not sub:
+        return spec.quotient_group, ()
+    summands = []  # (exponent, j): a cyclic summand, carrying a_j when j >= 0
+    multiples = []  # a_j = multiples[j] * the generator of its summand
+    for j, e in enumerate(sub):
+        ks = spec.quotient_exponents[j::len(sub)]
+        top = ks[-1] if ks else 0
+        summands.append((e + top, j))
+        multiples.append(l ** top)
+        summands += [(k, -1) for k in ks[:-1]]
+    summands.sort(key=lambda t: -t[0])
+    group = FiniteAbelianGroup.from_prime_exponents(l, [e for e, _ in summands])
+    slot = {j: i for i, (_, j) in enumerate(summands) if j >= 0}
+    witness = tuple(
+        GroupElement(group, tuple(multiples[j] if i == slot[j] else 0 for i in range(len(summands))))
+        for j in range(len(sub))
+    )
     return group, witness
 
 

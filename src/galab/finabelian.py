@@ -5,9 +5,10 @@ descending list of exponents e of its cyclic factors Z/l^e.  Two values
 compare equal exactly when the groups are isomorphic, so isomorphism tests,
 deduplication and report keys all reduce to plain equality.
 
-Everything here is integer-exact; matrices use arbitrary-precision ints and
-the Smith normal form uses minimal-absolute-value pivoting, which is plenty
-at the desk scale this library targets (group orders up to ~2**10).
+Everything here is integer-exact.  A presentation Z^g / (relations) is read
+off the diagonal of its Smith normal form, computed on plain rows of ints
+with minimal-absolute-value pivoting and no unimodular transforms, which is
+plenty at the desk scale this library targets (group orders up to ~2**10).
 """
 
 from __future__ import annotations
@@ -67,110 +68,24 @@ class _Record:
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices and Smith normal form
+# Smith normal form
 
 
-class IntegerMatrix(_Record):
-    """Immutable integer matrix with row-major entries."""
+def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The diagonal of the Smith normal form of an integer matrix, given by its rows.
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match dimensions")
-        self._init(rows, cols, entries)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> IntegerMatrix:
-        rows = [list(r) for r in rows]
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            ncols = 0 if cols is None else cols
-        if cols is not None and rows and ncols != cols:
-            raise ValueError(f"expected {cols} columns, got {ncols}")
-        flat = tuple(x for r in rows for x in r)
-        return cls(len(rows), ncols, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> IntegerMatrix:
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row_lists(self) -> list[list[int]]:
-        return [list(self.entries[i * self.cols:(i + 1) * self.cols]) for i in range(self.rows)]
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
-
-    def __matmul__(self, other: IntegerMatrix) -> IntegerMatrix:
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        a, b = self.row_lists(), other.row_lists()
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                out.append(sum(a[i][k] * b[k][j] for k in range(self.cols)))
-        return IntegerMatrix(self.rows, other.cols, tuple(out))
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.row_lists())
-
-
-def _coerce_matrix(m: IntegerMatrix | Sequence[Sequence[int]], cols: int | None = None) -> IntegerMatrix:
-    if isinstance(m, IntegerMatrix):
-        if cols is not None and m.cols != cols and m.rows > 0:
-            raise ValueError(f"expected {cols} columns, got {m.cols}")
-        return m
-    return IntegerMatrix.from_rows(m, cols=cols)
-
-
-def smith_normal_form(
-    m: IntegerMatrix | Sequence[Sequence[int]],
-) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    """Diagonalize an integer matrix: returns (S, U, V) with S = U @ M @ V.
-
-    U and V are unimodular and S is diagonal with non-negative entries
-    satisfying the divisibility chain d1 | d2 | ...  Pivots are chosen with
-    minimal absolute value, which keeps coefficients small at this scale.
+    It has min(rows, columns) non-negative entries in the divisibility chain
+    d1 | d2 | ..., zeros last.  Pivots are chosen with minimal absolute
+    value, which keeps coefficients small at this scale.
     """
-    mat = _coerce_matrix(m)
-    nr, nc = mat.rows, mat.cols
-    a = mat.row_lists()
-    u = IntegerMatrix.identity(nr).row_lists()
-    v = IntegerMatrix.identity(nc).row_lists()
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+    a = [list(r) for r in rows]
+    nr, nc = len(a), len(a[0]) if a else 0
+    if any(len(r) != nc for r in a):
+        raise ValueError("ragged rows")
 
     def swap_cols(i: int, j: int) -> None:
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_sub(i: int, j: int, q: int) -> None:
-        # row i -= q * row j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_sub(i: int, j: int, q: int) -> None:
-        # col i -= q * col j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     def min_pivot(t: int) -> tuple[int, int] | None:
         best = None
@@ -191,8 +106,7 @@ def smith_normal_form(
             break
         while True:
             pi, pj = piv
-            if pi != t:
-                swap_rows(t, pi)
+            a[t], a[pi] = a[pi], a[t]
             if pj != t:
                 swap_cols(t, pj)
             # clear the pivot cross; leftover remainders become smaller pivots
@@ -200,46 +114,30 @@ def smith_normal_form(
                 p = a[t][t]
                 for i in range(t + 1, nr):
                     if a[i][t]:
-                        row_sub(i, t, a[i][t] // p)
+                        q = a[i][t] // p
+                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                 for j in range(t + 1, nc):
                     if a[t][j]:
-                        col_sub(j, t, a[t][j] // p)
-                leftover = None
-                for i in range(t + 1, nr):
-                    if a[i][t]:
-                        leftover = (i, t)
-                        break
-                if leftover is None:
-                    for j in range(t + 1, nc):
-                        if a[t][j]:
-                            leftover = (t, j)
-                            break
-                if leftover is None:
+                        q = a[t][j] // p
+                        for row in a:
+                            row[j] -= q * row[t]
+                below = next((i for i in range(t + 1, nr) if a[i][t]), None)
+                if below is not None:
+                    a[t], a[below] = a[below], a[t]
+                    continue
+                right = next((j for j in range(t + 1, nc) if a[t][j]), None)
+                if right is None:
                     break
-                if leftover[0] != t:
-                    swap_rows(t, leftover[0])
-                else:
-                    swap_cols(t, leftover[1])
+                swap_cols(t, right)
             # pivot must divide the remaining block for the divisor chain
             p = a[t][t]
-            bad = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1:])), None)
             if bad is None:
                 break
-            row_sub(t, bad, -1)
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
             piv = min_pivot(t)
-        if a[t][t] < 0:
-            negate_row(t)
         t += 1
-
-    s = IntegerMatrix.from_rows(a, cols=nc)
-    return s, IntegerMatrix.from_rows(u, cols=nr), IntegerMatrix.from_rows(v, cols=nc)
+    return tuple(abs(a[i][i]) for i in range(min(nr, nc)))
 
 
 # ---------------------------------------------------------------------------
@@ -469,48 +367,19 @@ class GroupElement(_Record):
         return _element_order(self.coords, self.group.factor_orders)
 
 
-def from_relations(
-    num_generators: int, relations: IntegerMatrix | Sequence[Sequence[int]]
-) -> FiniteAbelianGroup:
+def from_relations(num_generators: int, relations: Sequence[Sequence[int]]) -> FiniteAbelianGroup:
     """Quotient of Z^g by the row lattice of `relations`, in canonical form.
 
-    Raises InfiniteQuotient when the quotient has positive free rank.
+    Raises ValueError when a row does not have g entries and InfiniteQuotient
+    when the quotient has positive free rank.
     """
-    group, _ = from_relations_with_map(num_generators, relations)
-    return group
-
-
-def from_relations_with_map(
-    num_generators: int, relations: IntegerMatrix | Sequence[Sequence[int]]
-) -> tuple[FiniteAbelianGroup, tuple[tuple[int, ...], ...]]:
-    """Like from_relations, also returning the images of the g standard generators.
-
-    The j-th image is the coordinate tuple of e_j in the canonical factor
-    ordering of the quotient.
-    """
-    g = num_generators
-    mat = _coerce_matrix(relations, cols=g)
-    s, _, v = smith_normal_form(mat)
-    k = min(mat.rows, mat.cols)
-    divisors = [s.at(i, i) for i in range(k)] + [0] * (g - k)
-    if any(d == 0 for d in divisors):
-        free = sum(1 for d in divisors if d == 0)
+    if any(len(r) != num_generators for r in relations):
+        raise ValueError(f"every relation must have {num_generators} entries")
+    diagonal = smith_normal_form(relations)
+    free = num_generators - sum(1 for d in diagonal if d)
+    if free:
         raise InfiniteQuotient(f"quotient has free rank {free}")
-    slots = []  # (prime, exponent, SNF diagonal index)
-    for i, d in enumerate(divisors):
-        if d > 1:
-            for p, e in _factor(d):
-                slots.append((p, e, i))
-    slots.sort(key=lambda t: (t[0], -t[1], t[2]))
-    primary: dict[int, list[int]] = {}
-    for p, e, _ in slots:
-        primary.setdefault(p, []).append(e)
-    group = FiniteAbelianGroup._from_primary(primary)
-    vr = v.row_lists()
-    images = tuple(
-        tuple(vr[j][i] % (p ** e) for (p, e, i) in slots) for j in range(g)
-    )
-    return group, images
+    return FiniteAbelianGroup(*diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +410,10 @@ def power_and_socle(g: FiniteAbelianGroup, n: int) -> tuple[FiniteAbelianGroup, 
     image: dict[int, list[int]] = {}
     kernel: dict[int, list[int]] = {}
     for p, exps in g.primary.items():
+        # on the p-part, p^v acts like p^min(v, e) for e the largest exponent
         v = 0
         m = n
-        while m % p == 0:
+        while v < exps[0] and m % p == 0:
             m //= p
             v += 1
         image[p] = [e - v for e in exps if e > v]

@@ -11,9 +11,9 @@ from galab.classifier import (
     FunctionFieldInput,
     FunctionFieldType,
     GaloisAbelianType,
+    SplitData,
     SplitSource,
     SplitTable,
-    builtin_split_table,
     classify_batch,
     classify_field,
     function_field_isomorphic,
@@ -84,8 +84,9 @@ def test_user_table_resolution_and_priority():
     # forced-trivial wins over any table entry
     h1 = SplitTable(user={-7: G(7)})
     assert classify_field(-7, h1).split.source is SplitSource.FORCED_TRIVIAL
-    merged = override.merged()
-    assert merged[-35] == G() and merged[-51] == G(2)
+    # the table layers user entries over the builtin ones
+    assert override.lookup(-35) == SplitData(SplitSource.USER_SUPPLIED, G())
+    assert override.lookup(-51) == SplitData(SplitSource.BUILTIN_TABLE, G(2))
 
 
 def test_containment_enforced():
@@ -138,7 +139,7 @@ def test_prime_class_number_dichotomy():
         h = class_number(d)
         if h not in (1, 2) or d in (-4, -8):
             continue
-        if h == 2 and d not in builtin_split_table():
+        if h == 2 and d not in SPLIT_TABLE_DISCRIMINANTS:
             continue
         t = galois_abelian_type(d)
         assert t.split_group in (G(), G(2))

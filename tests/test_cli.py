@@ -13,6 +13,7 @@ import pytest
 
 import galab
 from galab import cli
+from galab.classifier import SPLIT_TABLE_DISCRIMINANTS, SplitData, SplitSource
 from galab.cli import build_parser, load_split_table, main
 from galab.descriptors import (
     ALEPH0,
@@ -151,8 +152,10 @@ def test_load_split_table(tmp_path):
     path.write_text("# comment\n{-35: 2}\n-23: 3\n\n-59: 3,\n")
     table = load_split_table(str(path))
     assert table.user == {-35: G(2), -23: G(3), -59: G(3)}
-    merged = table.merged()
-    assert merged[-51] == G(2) and merged[-23] == G(3)
+    # user entries are layered over the builtin table
+    assert table.lookup(-35) == SplitData(SplitSource.USER_SUPPLIED, G(2))
+    assert table.lookup(-23) == SplitData(SplitSource.USER_SUPPLIED, G(3))
+    assert table.lookup(-51) == SplitData(SplitSource.BUILTIN_TABLE, G(2))
 
 
 def test_load_split_table_empty_file_is_builtin_only(tmp_path):
@@ -160,8 +163,10 @@ def test_load_split_table_empty_file_is_builtin_only(tmp_path):
     path.write_text("")
     table = load_split_table(str(path))
     assert table.user == {}
-    assert table.merged()[-35] == G(2)
-    assert len(table.merged()) == 10
+    assert len(SPLIT_TABLE_DISCRIMINANTS) == 10
+    for d in SPLIT_TABLE_DISCRIMINANTS:
+        assert table.lookup(d) == SplitData(SplitSource.BUILTIN_TABLE, G(2))
+    assert table.lookup(-23) is None
 
 
 def test_load_split_table_line_errors(tmp_path):
@@ -283,6 +288,15 @@ def test_verify_uniqueness_bound(capsys):
     )
     assert code == 4
     assert "bound" in err
+
+
+@pytest.mark.parametrize("prime, exponents", [("2", "15000"), ("3", "12000000")])
+def test_verify_uniqueness_bound_before_the_order_is_built(capsys, prime, exponents):
+    # l^N is too long to print and slow to build; the bound is decided on N alone
+    code, out, err = run(capsys, "verify-uniqueness", "--prime", prime, "--exponents", exponents)
+    assert (code, out) == (4, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"order {prime}^{exponents} exceeds" in err
 
 
 def test_verify_uniqueness_bound_must_be_positive(capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import time
 
 import pytest
 
@@ -378,17 +379,42 @@ def test_canonical_construction_examples():
     assert canonical_extension_group(spec(2, G(2), [2])) == G(8)
 
 
+def _presentation(s: TruncationSpec) -> tuple[int, list[list[int]]]:
+    """Generator count and relation rows of the glued presentation: a_1..a_r, then x_1..x_q.
+
+    l^e_j a_j = 0 and l^k_i x_i = a_j(i), the x_i assigned to the a_j round robin.
+    """
+    l, sub_orders, exps = s.prime, s.sub.factor_orders, s.quotient_exponents
+    r, g = len(sub_orders), len(sub_orders) + len(exps)
+    rows = [[order if c == j else 0 for c in range(g)] for j, order in enumerate(sub_orders)]
+    for i, k in enumerate(exps):
+        rows.append([l ** k if c == r + i else -1 if r and c == i % r else 0 for c in range(g)])
+    return g, rows
+
+
+def _canonical_grid():
+    # every sub of order up to l^5 under every set of at most five exponents from 1..6
+    exponent_sets = [c for k in range(1, 6) for c in itertools.combinations(range(1, 7), k)]
+    for prime in (2, 3, 5):
+        for size in range(6):
+            for mu in partitions_desc(size):
+                for exps in exponent_sets:
+                    yield spec(prime, G.from_prime_exponents(prime, mu), exps)
+
+
 def test_canonical_witness_embeds_sub():
-    for s in [
-        spec(2, G(2), [1, 2]),
-        spec(2, G(2, 2), [1, 2]),
-        spec(2, G(4), [1, 2, 3]),
-        spec(3, G(3), [1, 2]),
-    ]:
+    # the closed form against the Smith form of the presentation
+    checked = spans = 0
+    for s in _canonical_grid():
         b, witness = canonical_extension_with_witness(s)
-        els = span_set(witness, b)
-        assert len(els) == s.sub.order
-        assert quotient(b, list(witness)) == s.quotient_group
+        assert b == finabelian.from_relations(*_presentation(s)), s
+        assert tuple(x.order for x in witness) == s.sub.factor_orders, s
+        assert quotient(b, list(witness)) == s.quotient_group, s
+        if b.order <= 1024:
+            assert len(span_set(witness, b)) == s.sub.order, s
+            spans += 1
+        checked += 1
+    assert (checked, spans) == (3534, 358)
 
 
 def test_canonical_survives_at_saturation():
@@ -475,6 +501,18 @@ def test_diagram_rejects_wrong_model():
         assert check.reason == "model admits no sub-copy with the required quotient"
 
 
+def test_diagram_socle_sizes_beyond_the_exponent():
+    # on B = Z/4 + Z/8, l^n acts like 8 for every n >= 3, so n = 10^5 gives the n = 3
+    # sizes, and the valuation of l^n stops at 3 instead of dividing 10^5 times
+    s = spec(2, G(2, 2), [1, 2])
+    assert verify_diagram(2, s.sub, s, 2).reason == "socle sizes differ at 2^2: dual has 16, tower has 8"
+    for n in (3, 10 ** 5):
+        start = time.perf_counter()
+        check = verify_diagram(2, s.sub, s, n)
+        assert time.perf_counter() - start < 1.0
+        assert check.reason == f"socle sizes differ at 2^{n}: dual has 32, tower has 8"
+
+
 def test_diagram_consistency_guard():
     with pytest.raises(ValueError):
         verify_diagram(3, G(2), spec(2, G(2), [1, 2]), n=1)
@@ -544,7 +582,7 @@ def test_diagram_matches_element_level_dual_model(monkeypatch):
             (c.group, c.group, c.sub_generators) for c in report.classes if c.group.order <= 256
         ]
         for model, b, witness in models:
-            for n in (1, 2, 3):
+            for n in (1, 2, 3, 10 ** 5):
                 check = verify_diagram(s.prime, s.sub, s, n, model=model)
                 reason, allowed = _dual_model_oracle(
                     b, witness, s.sub, report.saturation_level, s.prime, n

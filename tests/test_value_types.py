@@ -29,7 +29,7 @@ from galab.extensions import (
     UniquenessCase,
     UniquenessReport,
 )
-from galab.finabelian import FiniteAbelianGroup, GroupElement, IntegerMatrix
+from galab.finabelian import FiniteAbelianGroup, GroupElement
 from galab.quadfields import BinaryQuadraticForm, ClassGroup
 
 G = FiniteAbelianGroup
@@ -45,7 +45,6 @@ CASE = UniquenessCase((1, 2), ((0, 3),), 0, (G(2, 8),), G(2, 8), True)
 
 # each record with its fields as keywords, in positional order
 EXAMPLES = [
-    (IntegerMatrix, dict(rows=1, cols=2, entries=(3, 4))),
     (GroupElement, dict(group=G(2, 4), coords=(3, 1))),
     (BinaryQuadraticForm, dict(a=2, b=1, c=3)),
     (ClassGroup, dict(discriminant=-23, representatives=(FORM,), structure=G(3))),
