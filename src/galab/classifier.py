@@ -20,7 +20,6 @@ import enum
 from typing import Iterable, Mapping
 
 from .arith import isprime
-from .descriptors import ProfiniteDescriptor, full_tower_descriptor
 from .errors import (
     ContainmentError,
     ExcludedField,
@@ -29,7 +28,6 @@ from .errors import (
     SplitDataUnavailable,
     exit_code_for,
 )
-from .extensions import TowerExtensionType
 from .finabelian import FiniteAbelianGroup, _Record, embeds_in, group_literal
 from .quadfields import ClassGroup, class_group
 
@@ -100,8 +98,9 @@ def resolve_split_data(cg: ClassGroup, table: SplitTable | None = None) -> Split
 class GaloisAbelianType(_Record):
     """Isomorphism-type invariant of the abelianized absolute Galois group.
 
-    The free rank (two) and the torsion tower are field-independent
-    constants; two types agree exactly when their split groups do.
+    The free rank (two) and the torsion tower ("T" in documents) are
+    field-independent constants; two types agree exactly when their split
+    groups do.
     """
 
     __slots__ = ("split_group",)
@@ -112,18 +111,6 @@ class GaloisAbelianType(_Record):
     @property
     def free_rank(self) -> int:
         return 2
-
-    @property
-    def torsion_closure(self) -> ProfiniteDescriptor:
-        return full_tower_descriptor()
-
-    @property
-    def tower_extension(self) -> dict[int, TowerExtensionType]:
-        """Per-prime invariant of the non-free factor, keyed by prime."""
-        return {
-            p: TowerExtensionType(p, self.split_group.primary_part(p))
-            for p in self.split_group.primes
-        }
 
     def to_document(self) -> dict:
         return {
@@ -168,13 +155,6 @@ def classify_field(
     return FieldClassification(
         discriminant, cg.order, split, GaloisAbelianType(split.group)
     )
-
-
-def galois_abelian_type(
-    discriminant: int, table: SplitTable | None = None
-) -> GaloisAbelianType:
-    """The type invariant alone; see classify_field for the full record."""
-    return classify_field(discriminant, table).abelian_type
 
 
 def types_isomorphic(t1: GaloisAbelianType, t2: GaloisAbelianType) -> bool:

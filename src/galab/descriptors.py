@@ -230,10 +230,6 @@ class ProfiniteDescriptor(_GroupDescriptor):
     def kind(self) -> str:
         return "profinite"
 
-    @classmethod
-    def from_finite(cls, g: FiniteAbelianGroup) -> ProfiniteDescriptor:
-        return cls(0, _locals_of_finite(g), False)
-
 
 class DiscreteTorsionDescriptor(_GroupDescriptor):
     """Direct sum of Q/Z (free_rank), Pruefer and cyclic factors."""
@@ -244,22 +240,8 @@ class DiscreteTorsionDescriptor(_GroupDescriptor):
     def kind(self) -> str:
         return "discrete"
 
-    @classmethod
-    def from_finite(cls, g: FiniteAbelianGroup) -> DiscreteTorsionDescriptor:
-        return cls(0, _locals_of_finite(g), False)
-
 
 Descriptor = Union[ProfiniteDescriptor, DiscreteTorsionDescriptor]
-
-
-def _locals_of_finite(g: FiniteAbelianGroup) -> tuple[LocalFactors, ...]:
-    recs = []
-    for p, exps in g.primary.items():
-        counts: dict[int, int] = {}
-        for e in exps:
-            counts[e] = counts.get(e, 0) + 1
-        recs.append(LocalFactors.make(p, 0, counts))
-    return tuple(recs)
 
 
 def full_tower_descriptor() -> ProfiniteDescriptor:
@@ -287,13 +269,6 @@ def dual_discrete(d: DiscreteTorsionDescriptor) -> ProfiniteDescriptor:
     if not isinstance(d, DiscreteTorsionDescriptor):
         raise KindMismatch("dual_discrete expects a discrete torsion descriptor")
     return ProfiniteDescriptor(*d._values())
-
-
-def descriptors_equal(a: Descriptor, b: Descriptor) -> bool:
-    """Structural equality of canonical forms; kinds must match."""
-    if a.kind != b.kind:
-        raise KindMismatch(f"cannot compare {a.kind} with {b.kind}")
-    return a == b
 
 
 def truncate(
@@ -411,9 +386,11 @@ def descriptor_to_text(d: Descriptor) -> str:
 
 
 def descriptor_from_text(text: str) -> Descriptor:
+    # JSONDecodeError is a ValueError, as is an integer past Python's digit limit;
+    # deep nesting exhausts the decoder's recursion
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"descriptor document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("descriptor document must be a JSON object")

@@ -358,31 +358,6 @@ def canonical_extension_group(spec: TruncationSpec) -> FiniteAbelianGroup:
     return canonical_extension_with_witness(spec)[0]
 
 
-class TowerExtensionType(_Record):
-    """Isomorphism invariant of the unique tower extension determined by a split group.
-
-    Values compare equal exactly when the primes agree and the split groups
-    are isomorphic; a trivial split group gives the bare tower type itself.
-    """
-
-    __slots__ = ("prime", "split")
-
-    def __init__(self, prime: int, split: FiniteAbelianGroup) -> None:
-        if not isprime(prime):
-            raise ValueError(f"{prime} is not prime")
-        if any(p != prime for p in split.primes):
-            raise ValueError(f"split group must be a {prime}-group")
-        self._init(prime, split)
-
-    @classmethod
-    def pure_tower(cls, prime: int) -> TowerExtensionType:
-        return cls(prime, FiniteAbelianGroup())
-
-    @property
-    def is_pure_tower(self) -> bool:
-        return self.split.is_trivial
-
-
 # ---------------------------------------------------------------------------
 # Uniqueness sweeps
 
@@ -526,7 +501,9 @@ def verify_diagram(
         if hit is not None:
             return _fail(f"sub element not divisible by {prime}^{m} in the model", hit[0])
 
-    socle_mult = prime ** n
+    # past B's largest exponent e, l^n B = 0 and B[l^n] = B, and the quotient's
+    # exponents are at most e: every answer below is the one at depth min(n, e)
+    socle_mult = prime ** min(n, max(b.exponents_at(prime), default=0))
     hit = _outside_multiple(witness, socle_mult)
     if hit is None:
         return DiagramCheck(True)

@@ -9,6 +9,11 @@ Everything here is integer-exact.  A presentation Z^g / (relations) is read
 off the diagonal of its Smith normal form, computed on plain rows of ints
 with minimal-absolute-value pivoting and no unimodular transforms, which is
 plenty at the desk scale this library targets (group orders up to ~2**10).
+
+Subgroups are searched one prime at a time, on a single path:
+`l_subgroups` yields each copy of a given l-group type lazily, in canonical
+order, and `subgroup_generators` names one copy's canonical generators.  A
+subgroup of composite order is the sum of its l-parts.
 """
 
 from __future__ import annotations
@@ -428,10 +433,6 @@ def power_and_socle(g: FiniteAbelianGroup, n: int) -> tuple[FiniteAbelianGroup, 
 # Raw coordinate helpers (hot paths run on plain tuples or packed ints)
 
 
-def _add(a: tuple[int, ...], b: tuple[int, ...], orders: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((x + y) % d for x, y, d in zip(a, b, orders))
-
-
 def _element_order(coords: tuple[int, ...], orders: tuple[int, ...]) -> int:
     o = 1
     for c, d in zip(coords, orders):
@@ -491,38 +492,6 @@ def _extend_span(
 
 # ---------------------------------------------------------------------------
 # Subgroup enumeration and quotients
-
-
-def subgroups_isomorphic_to(
-    g: FiniteAbelianGroup,
-    a: FiniteAbelianGroup,
-) -> list[list[GroupElement]]:
-    """All subgroups of G isomorphic to A, each as a generating set.
-
-    The list is duplicate-free and sorted by the subgroups' sorted element
-    tuples.  Each l-part comes from `l_subgroups` and carries the generators
-    of `subgroup_generators`; the parts of a subgroup are summed over primes.
-    """
-    if a.is_trivial:
-        return [[]]
-    if g.order % a.order != 0:
-        return []
-    orders = g.factor_orders
-    per_prime: list[list[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]]] = []
-    for p in a.primes:
-        exps = a.exponents_at(p)
-        found = [(els, subgroup_generators(g, p, exps, els)) for els, _ in l_subgroups(g, p, exps)]
-        if not found:
-            return []
-        per_prime.append(found)
-    results = []
-    for (key, gens), *rest in itertools.product(*per_prime):
-        for part_els, part_gens in rest:
-            key = tuple(sorted({_add(x, y, orders) for x in key for y in part_els}))
-            gens += part_gens
-        results.append((key, gens))
-    results.sort(key=lambda t: t[0])
-    return [[GroupElement(g, c) for c in gens] for _, gens in results]
 
 
 def l_subgroups(
@@ -678,22 +647,6 @@ def partitions_desc(n: int, max_part: int | None = None) -> Iterator[tuple[int, 
     for first in range(top, 0, -1):
         for rest in partitions_desc(n - first, first):
             yield (first,) + rest
-
-
-def abelian_groups_of_order(n: int) -> list[FiniteAbelianGroup]:
-    """All abelian groups of order n, via partitions per prime power."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    if n == 1:
-        return [FiniteAbelianGroup()]
-    per_prime = []
-    for p, e in _factor(n):
-        per_prime.append([(p, part) for part in partitions_desc(e)])
-    groups = []
-    for combo in itertools.product(*per_prime):
-        groups.append(FiniteAbelianGroup._from_primary({p: list(part) for p, part in combo}))
-    groups.sort(key=FiniteAbelianGroup.sort_key)
-    return groups
 
 
 def embeds_in(a: FiniteAbelianGroup, g: FiniteAbelianGroup) -> bool:

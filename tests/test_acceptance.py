@@ -36,11 +36,7 @@ from galab.extensions import (
     verify_diagram,
     verify_uniqueness,
 )
-from galab.finabelian import (
-    FiniteAbelianGroup,
-    abelian_groups_of_order,
-    dual_finite,
-)
+from galab.finabelian import FiniteAbelianGroup, dual_finite
 from galab.quadfields import (
     class_group,
     compose,
@@ -48,6 +44,7 @@ from galab.quadfields import (
     principal_form,
     reduced_forms,
 )
+from group_helpers import abelian_groups_of_order
 
 G = FiniteAbelianGroup
 TEN = SPLIT_TABLE_DISCRIMINANTS

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import galab
 from galab.classifier import (
     SPLIT_TABLE_DISCRIMINANTS,
     FunctionFieldInput,
@@ -18,10 +23,9 @@ from galab.classifier import (
     classify_field,
     function_field_isomorphic,
     function_field_type,
-    galois_abelian_type,
     types_isomorphic,
 )
-from galab.descriptors import ProfiniteDescriptor, full_tower_descriptor
+from galab.descriptors import ProfiniteDescriptor
 from galab.errors import (
     ContainmentError,
     ExcludedField,
@@ -29,7 +33,6 @@ from galab.errors import (
     NotFundamental,
     SplitDataUnavailable,
 )
-from galab.extensions import TowerExtensionType
 from galab.finabelian import FiniteAbelianGroup
 from galab.quadfields import class_number, fundamental_discriminants
 
@@ -45,7 +48,7 @@ def test_builtin_table_classification():
     assert fc.split.source is SplitSource.BUILTIN_TABLE
     assert fc.abelian_type.split_group == G(2)
     assert fc.abelian_type.free_rank == 2
-    assert fc.abelian_type.torsion_closure == full_tower_descriptor()
+    assert fc.abelian_type.to_document()["torsion_closure"] == "T"
 
 
 def test_class_number_one_forces_trivial():
@@ -99,9 +102,9 @@ def test_containment_enforced():
 
 
 def test_types_isomorphic():
-    t35 = galois_abelian_type(-35)
-    t51 = galois_abelian_type(-51)
-    t7 = galois_abelian_type(-7)
+    t35 = classify_field(-35).abelian_type
+    t51 = classify_field(-51).abelian_type
+    t7 = classify_field(-7).abelian_type
     assert types_isomorphic(t35, t51)
     assert not types_isomorphic(t35, t7)
     assert types_isomorphic(t35, t35)
@@ -115,14 +118,31 @@ def test_type_constants_enforced():
         GaloisAbelianType(G(2), torsion_closure=ProfiniteDescriptor(free_rank=1))
 
 
-def test_tower_extension_view():
-    t = galois_abelian_type(-35)
-    assert t.tower_extension == {2: TowerExtensionType(2, G(2))}
-    assert galois_abelian_type(-7).tower_extension == {}
+def test_classifier_loads_neither_extensions_nor_descriptors():
+    # the split group alone is the type, so classifying needs no extension or descriptor code
+    src = Path(galab.__file__).resolve().parents[1]
+    probe = (
+        "import sys, galab.classifier; "
+        "print(sorted(m for m in ('galab.extensions', 'galab.descriptors') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_package_names_load_from_their_modules():
+    assert all(hasattr(galab, name) for name in galab.__all__)
+    assert galab.classify_field is classify_field
+    for gone in ("galois_abelian_type", "TowerExtensionType", "descriptors_equal",
+                 "subgroups_isomorphic_to", "abelian_groups_of_order"):
+        assert not hasattr(galab, gone)
 
 
 def test_equivalence_relation_properties():
-    types = [galois_abelian_type(d) for d in (-35, -51, -7, -11, -91)]
+    types = [classify_field(d).abelian_type for d in (-35, -51, -7, -11, -91)]
     for a in types:
         assert types_isomorphic(a, a)
         for b in types:
@@ -141,7 +161,7 @@ def test_prime_class_number_dichotomy():
             continue
         if h == 2 and d not in SPLIT_TABLE_DISCRIMINANTS:
             continue
-        t = galois_abelian_type(d)
+        t = classify_field(d).abelian_type
         assert t.split_group in (G(), G(2))
         seen.add(t.split_group)
     assert seen == {G(), G(2)}

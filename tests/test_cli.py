@@ -392,6 +392,19 @@ def test_dual_malformed_document(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text", ["1" * 5001, "[" * 100_000], ids=["integer-of-5001-digits", "nesting-100000-deep"]
+)
+def test_dual_undecodable_document(capsys, tmp_path, text):
+    # past Python's digit limit json raises ValueError; deep nesting, RecursionError
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "dual", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("dual", "--input", "FILE"),

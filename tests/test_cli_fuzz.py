@@ -1,0 +1,163 @@
+"""Contract fuzz test of the command line: every input exits 0-4 with no traceback.
+
+Each case is an argv for one of the nine subcommands, or a list of stray
+tokens, with the files it names (descriptor documents, split tables, batch
+files), run in-process through `cli.main`.  Inputs stay small so that no case
+starts heavy work: |D| < 10^4, group literals of order <= 64, at most three
+quotient exponents, each <= 3, a uniqueness bound of at most 256 and
+truncation parameters <= 4.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from math import prod
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from galab.cli import main
+
+SUBCOMMANDS = (
+    "classgroup", "classify", "compare", "batch", "verify-uniqueness",
+    "dual", "truncate", "fftype", "ffcompare",
+)
+
+# valid values mostly, a malformed one now and then
+discs = st.one_of(
+    st.integers(-9999, -1).map(str), st.integers(-9999, -1).map(str),
+    st.integers(0, 9999).map(str), st.sampled_from(["x", "", "1e3", "-35.0"]),
+)
+small = st.sampled_from(["0", "1", "2", "3", "4", "1", "2", "3", "-1", "x"])
+primes = st.sampled_from(["2", "2", "3", "3", "5", "7", "1", "0", "4", "x"])
+literals = st.one_of(
+    st.lists(st.integers(1, 64), max_size=3)
+    .filter(lambda orders: prod(orders) <= 64)
+    .map(lambda orders: ",".join(map(str, orders))),
+    st.sampled_from(["", "1", "0", "-2", "a", "2,,3", " 4 "]),
+)
+exponent_lists = st.one_of(
+    st.sets(st.integers(1, 3), min_size=1).map(lambda exps: ",".join(map(str, sorted(exps)))),
+    st.sets(st.integers(1, 3), min_size=1).map(lambda exps: ",".join(map(str, sorted(exps)))),
+    st.lists(st.integers(-1, 3), max_size=3).map(lambda exps: ",".join(map(str, exps))),
+    st.sampled_from(["x", "1,,2", ","]),
+)
+
+cards = st.one_of(st.integers(-1, 4), st.sampled_from(["aleph0", "x", True, 1.5]))
+local_entries = st.fixed_dictionaries(
+    {"prime": st.one_of(st.sampled_from([2, 3, 4, 5, 7]), st.sampled_from([2.5, "2", None]))},
+    optional={
+        "local_free_rank": cards,
+        "full_tower": st.one_of(st.booleans(), st.just("no")),
+        "cyclic": st.lists(
+            st.fixed_dictionaries({"exp": st.one_of(st.integers(-1, 4), st.just(True)), "mult": cards}),
+            max_size=3,
+        ),
+    },
+)
+descriptor_docs = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["profinite", "discrete", "other"])},
+    optional={
+        "free_rank": cards,
+        "all_primes_T": st.one_of(st.booleans(), st.just(1)),
+        "locals": st.one_of(st.lists(local_entries, max_size=3), st.just([1])),
+    },
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+documents = st.one_of(descriptor_docs.map(json.dumps), json_values.map(json.dumps), st.text(max_size=30))
+split_tables = st.lists(
+    st.one_of(
+        st.tuples(discs, literals).map(lambda t: f"{t[0]}: {t[1]}"),
+        st.sampled_from(["# note", "", "{", "}", "x", "-35 2", ": 2", "-35:", "{-35: 2},"]),
+    ),
+    max_size=4,
+).map("\n".join)
+batch_files = st.lists(
+    st.one_of(discs, st.sampled_from(["# note", "", "1.5"])), max_size=5
+).map("\n".join)
+stray_tokens = st.lists(
+    st.one_of(
+        st.sampled_from(SUBCOMMANDS + ("--json", "--disc", "--prime", "--sub", "--help", "-x", "--")),
+        small,
+    ),
+    max_size=5,
+)
+
+
+@st.composite
+def invocations(draw) -> tuple[list[str], dict[str, str]]:
+    """(argv, files): argv names each file by its key in `files`."""
+    files: dict[str, str] = {}
+
+    def path(name: str, contents) -> str:
+        files[name] = draw(contents)
+        return name
+
+    def table() -> list[str]:
+        return ["--split-table", path("table.txt", split_tables)] if draw(st.booleans()) else []
+
+    cmd = draw(st.sampled_from(SUBCOMMANDS + ("stray",)))
+    if cmd == "classgroup":
+        argv = [cmd, "--disc", draw(discs)]
+    elif cmd == "classify":
+        argv = [cmd, "--disc", draw(discs)] + table()
+        if draw(st.booleans()):
+            argv += ["--split", draw(literals)]
+    elif cmd == "compare":
+        argv = [cmd] + [t for d in draw(st.lists(discs, min_size=2, max_size=3)) for t in ("--disc", d)]
+        argv += table()
+    elif cmd == "batch":
+        argv = [cmd, "--input", path("batch.txt", batch_files)] + table()
+    elif cmd == "verify-uniqueness":
+        bound = draw(st.sampled_from(["0", "1", "64", "256", "256"]))
+        argv = [cmd, "--prime", draw(primes), "--bound", bound]
+        if draw(st.booleans()):
+            argv += ["--sub", draw(literals)]
+        argv += [t for e in draw(st.lists(exponent_lists, min_size=1, max_size=2)) for t in ("--exponents", e)]
+    elif cmd == "dual":
+        argv = [cmd, "--input", path("doc.json", documents)]
+    elif cmd == "truncate":
+        argv = [cmd, "--input", path("doc.json", documents), "--prime", draw(primes)]
+        argv += ["--max-exp", draw(small), "--cap", draw(small), "--free-level", draw(small)]
+    elif cmd == "fftype":
+        argv = [cmd, "--prime", draw(primes), "--n", draw(small), "--class0", draw(literals)]
+    elif cmd == "ffcompare":
+        fields = draw(st.lists(st.tuples(primes, small, literals).map(":".join), min_size=2, max_size=3))
+        argv = [cmd] + [t for f in fields for t in ("--field", f)]
+    else:
+        argv = draw(stray_tokens)
+    if argv and draw(st.integers(0, 3)) == 0:
+        # drop one token: a missing option, a missing value or a stray one
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv, files
+
+
+@settings(max_examples=300, deadline=None)
+@given(invocations())
+@example((["dual", "--input", "doc.json"], {"doc.json": "1" * 5001}))
+@example((["dual", "--input", "doc.json"], {"doc.json": "[" * 100_000}))
+def test_every_input_exits_within_the_contract(case):
+    argv, files = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            # lone surrogates become undecodable bytes, which the CLI must refuse cleanly
+            Path(tmp, name).write_bytes(text.encode("utf-8", "surrogatepass"))
+        argv = [str(Path(tmp, a)) if a in files else a for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help exits through argparse
+                code = exc.code
+    assert code in (0, 1, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -23,7 +23,6 @@ from galab.descriptors import (
     descriptor_from_text,
     descriptor_to_document,
     descriptor_to_text,
-    descriptors_equal,
     dual_discrete,
     dual_profinite,
     full_tower_descriptor,
@@ -160,19 +159,19 @@ def test_duality_preserves_multiplicity_triples():
 
 
 def test_descriptors_equal():
-    assert descriptors_equal(full_tower_descriptor(), full_tower_descriptor())
+    # equality is of canonical forms, and a descriptor never equals one of the other kind
+    assert full_tower_descriptor() == full_tower_descriptor()
     tweaked = ProfiniteDescriptor(
         0, (LocalFactors.make(2, cyclic={1: 1}),), True
     )
     # the tower pattern absorbs finite cyclic data, so this is still the tower
-    assert descriptors_equal(tweaked, full_tower_descriptor())
+    assert tweaked == full_tower_descriptor()
     t2 = prime_tower_descriptor(2)
     changed = ProfiniteDescriptor(
         0, (LocalFactors.make(2, cyclic={1: 1, 2: ALEPH0}),)
     )
-    assert not descriptors_equal(t2, changed)
-    with pytest.raises(KindMismatch):
-        descriptors_equal(t2, dual_profinite(t2))
+    assert t2 != changed
+    assert t2 != dual_profinite(t2)
 
 
 def test_canonical_form_ignores_record_order():
@@ -200,7 +199,9 @@ def test_truncate_examples():
 def test_truncate_finite_compatibility():
     # finite-multiplicity descriptors agree with the finite dual under truncation
     for g in (G(8), G(2, 4), G(9, 3), G(2, 2, 2)):
-        d = ProfiniteDescriptor.from_finite(g)
+        d = ProfiniteDescriptor(
+            0, tuple(LocalFactors.make(p, 0, Counter(g.exponents_at(p))) for p in g.primes)
+        )
         e = dual_profinite(d)
         for p in g.primes:
             cap = g.rank + 1

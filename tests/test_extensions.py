@@ -12,7 +12,6 @@ import pytest
 from galab import extensions, finabelian
 from galab.errors import BoundExceeded
 from galab.extensions import (
-    TowerExtensionType,
     TruncationSpec,
     canonical_extension_group,
     canonical_extension_with_witness,
@@ -20,14 +19,8 @@ from galab.extensions import (
     verify_diagram,
     verify_uniqueness,
 )
-from galab.finabelian import (
-    FiniteAbelianGroup,
-    abelian_groups_of_order,
-    l_subgroups,
-    partitions_desc,
-    quotient,
-    subgroups_isomorphic_to,
-)
+from galab.finabelian import FiniteAbelianGroup, l_subgroups, partitions_desc, quotient
+from group_helpers import abelian_groups_of_order, subgroup_copies
 
 G = FiniteAbelianGroup
 
@@ -184,9 +177,9 @@ def test_enumerated_classes_are_self_dual():
 # -- single-pass survival level against the per-level search ----------------------
 
 
-def _per_level_survival(b, s, subgroups_isomorphic_to=subgroups_isomorphic_to, quotient=quotient):
+def _per_level_survival(b, s, subgroup_copies=subgroup_copies, quotient=quotient):
     """For m from exp(B) down, the first copy of the sub inside l^m B with B/S = C."""
-    copies = subgroups_isomorphic_to(b, s.sub)
+    copies = subgroup_copies(b, s.sub)
     for m in range(max(b.exponents_at(s.prime), default=0), -1, -1):
         multiples = {(x * s.prime ** m).coords for x in b.elements()}
         for gens in copies:
@@ -219,7 +212,7 @@ def test_max_survival_matches_per_level_search(monkeypatch):
 
         return cached
 
-    searches = once(subgroups_isomorphic_to), once(quotient)
+    searches = once(subgroup_copies), once(quotient)
     monkeypatch.setattr(extensions, "quotient", searches[1])
     levels = set()
     checked = 0
@@ -255,7 +248,7 @@ def test_green_theorem_against_subgroup_search():
                 b = G.from_prime_exponents(prime, lam)
                 for k in range(size + 1):
                     for mu in partitions_desc(k):
-                        copies = subgroups_isomorphic_to(b, G.from_prime_exponents(prime, mu))
+                        copies = subgroup_copies(b, G.from_prime_exponents(prime, mu))
                         quotients = {quotient(b, gens) for gens in copies}
                         for nu in partitions_desc(size - k):
                             found = G.from_prime_exponents(prime, nu) in quotients
@@ -454,23 +447,6 @@ def test_uniqueness_document():
     assert doc["cases"][0]["canonical"] == "2,8"
 
 
-# -- tower extension types ------------------------------------------------------------
-
-
-def test_tower_extension_type_semantics():
-    assert TowerExtensionType(2, G()) == TowerExtensionType.pure_tower(2)
-    assert TowerExtensionType(2, G()).is_pure_tower
-    assert TowerExtensionType(2, G(2)) == TowerExtensionType(2, G(2))
-    assert TowerExtensionType(2, G(2)) != TowerExtensionType(2, G(4))
-    assert TowerExtensionType(2, G(2)) != TowerExtensionType(3, G(3))
-    with pytest.raises(ValueError):
-        TowerExtensionType(2, G(3))
-
-
-def test_tower_extension_type_prime_distinguishes():
-    assert TowerExtensionType(2, G()) != TowerExtensionType(3, G())
-
-
 # -- diagram checks --------------------------------------------------------------------
 
 
@@ -511,6 +487,22 @@ def test_diagram_socle_sizes_beyond_the_exponent():
         check = verify_diagram(2, s.sub, s, n)
         assert time.perf_counter() - start < 1.0
         assert check.reason == f"socle sizes differ at 2^{n}: dual has 32, tower has 8"
+
+
+def test_diagram_depth_past_the_exponent_is_not_built():
+    # the canonical B = Z/9 + Z/27 has exponent 3: every depth past it gives the depth-4
+    # answer, and l^n itself is never built, though the reason still shows the caller's n
+    s = spec(3, G(3, 3), [1, 2])
+    assert canonical_extension_group(s).exponents_at(3)[0] == 3
+    shallow = verify_diagram(3, s.sub, s, 4)
+    assert not shallow.passed
+    for n, limit in ((10 ** 7, 0.1), (10 ** 8, 1.0)):
+        start = time.perf_counter()
+        deep = verify_diagram(3, s.sub, s, n)
+        assert time.perf_counter() - start < limit
+        assert deep.passed == shallow.passed
+        assert deep.reason == shallow.reason.replace("3^4", f"3^{n}")
+        assert deep.counterexample == shallow.counterexample
 
 
 def test_diagram_consistency_guard():

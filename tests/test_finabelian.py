@@ -13,7 +13,6 @@ from galab.errors import InfiniteQuotient
 from galab.finabelian import (
     FiniteAbelianGroup,
     GroupElement,
-    abelian_groups_of_order,
     dual_finite,
     embeds_in,
     from_relations,
@@ -26,8 +25,8 @@ from galab.finabelian import (
     quotient,
     smith_normal_form,
     subgroup_generators,
-    subgroups_isomorphic_to,
 )
+from group_helpers import abelian_groups_of_order, subgroup_copies
 
 G = FiniteAbelianGroup
 
@@ -314,9 +313,9 @@ def test_element_enumeration():
 
 def test_subgroups_examples():
     g = G(2, 4)
-    subs = subgroups_isomorphic_to(g, G(2))
+    subs = subgroup_copies(g, G(2))
     assert len(subs) == 3
-    assert len(subgroups_isomorphic_to(G(4), G(2))) == 1
+    assert len(subgroup_copies(G(4), G(2))) == 1
     doubles = {(x * 2).coords for x in g.elements()}
     constrained = [gens for gens in subs if all(x.coords in doubles for x in gens)]
     assert len(constrained) == 1
@@ -330,25 +329,25 @@ def test_subgroups_exhaustive_order_counts():
     # number of order-2 subgroups equals number of order-2 elements
     for g in abelian_groups_of_order(16):
         n2 = sum(1 for x in g.elements() if x.order == 2)
-        assert len(subgroups_isomorphic_to(g, G(2))) == n2
+        assert len(subgroup_copies(g, G(2))) == n2
 
 
 def test_subgroups_klein_count_oracle():
     # (Z/2)^3 has (8-1)(8-2)/((4-1)(4-2)) = 7 Klein subgroups
-    assert len(subgroups_isomorphic_to(G(2, 2, 2), G(2, 2))) == 7
+    assert len(subgroup_copies(G(2, 2, 2), G(2, 2))) == 7
     # Z/4 + Z/2 has exactly one Klein subgroup (its socle)
-    assert len(subgroups_isomorphic_to(G(4, 2), G(2, 2))) == 1
+    assert len(subgroup_copies(G(4, 2), G(2, 2))) == 1
 
 
 def test_subgroups_trivial_and_impossible():
-    assert subgroups_isomorphic_to(G(4), G()) == [[]]
-    assert subgroups_isomorphic_to(G(4), G(2, 2)) == []
-    assert subgroups_isomorphic_to(G(4), G(3)) == []
+    assert subgroup_copies(G(4), G()) == [[]]
+    assert subgroup_copies(G(4), G(2, 2)) == []
+    assert subgroup_copies(G(4), G(3)) == []
 
 
 def test_subgroups_multi_prime():
     g = G(2, 3)
-    subs = subgroups_isomorphic_to(g, G(6))
+    subs = subgroup_copies(g, G(6))
     assert len(subs) == 1
     els = span_set(subs[0], g)
     assert len(els) == 6
@@ -358,7 +357,7 @@ def test_subgroups_multi_prime_with_constraint():
     g = G(4, 9)
     # 6G = 2(Z/4) x 3(Z/9) is the unique copy of Z/6 inside it
     sixfold = {(x * 6).coords for x in g.elements()}
-    subs = [gens for gens in subgroups_isomorphic_to(g, G(6)) if all(x.coords in sixfold for x in gens)]
+    subs = [gens for gens in subgroup_copies(g, G(6)) if all(x.coords in sixfold for x in gens)]
     assert len(subs) == 1
     els = span_set(subs[0], g)
     assert els == span_set([g.element((2, 0)), g.element((0, 3))], g)
@@ -374,7 +373,7 @@ def test_cyclic_subgroup_counts_match_totient_oracle():
                 continue
             n_elements = sum(1 for x in g.elements() if x.order == q)
             expected = n_elements // int(totient(q))
-            assert len(subgroups_isomorphic_to(g, G(q))) == expected
+            assert len(subgroup_copies(g, G(q))) == expected
 
 
 def tuple_dfs_subgroups(g: FiniteAbelianGroup, prime: int, exps: tuple[int, ...]):
@@ -422,7 +421,7 @@ def test_subgroup_search_matches_tuple_dfs_oracle():
     # equal generator tuples in equal order give equal element sets in equal order
     pairs = subgroups = 0
     for prime, b, mu in _l_group_pairs(((2, 6, 3), (3, 4, 2), (5, 3, 2))):
-        found = subgroups_isomorphic_to(b, G.from_prime_exponents(prime, mu))
+        found = subgroup_copies(b, G.from_prime_exponents(prime, mu))
         want = tuple_dfs_subgroups(b, prime, mu)
         assert [tuple(x.coords for x in gens) for gens in found] == [t for _, t in want], (b, mu)
         pairs += 1
@@ -483,7 +482,7 @@ def test_quotient_exactness_for_enumerated_subgroups():
         for a in (G(2), G(4), G(2, 2)):
             if g.order % max(a.order, 1):
                 continue
-            for gens in subgroups_isomorphic_to(g, a):
+            for gens in subgroup_copies(g, a):
                 els = span_set(gens, g)
                 assert len(els) == a.order
                 q = quotient(g, list(gens))

@@ -24,7 +24,6 @@ from galab.extensions import (
     DiagramCheck,
     ExtensionReport,
     SurvivorClass,
-    TowerExtensionType,
     TruncationSpec,
     UniquenessCase,
     UniquenessReport,
@@ -54,7 +53,6 @@ EXAMPLES = [
     (TruncationSpec, dict(prime=2, sub=G(2), quotient_exponents=(1, 2), div_level=1)),
     (SurvivorClass, dict(group=G(2, 8), sub_generators=(ELEMENT,), quotient_form=G(2, 4), max_level=1)),
     (ExtensionReport, dict(spec=SPEC, classes=(SURVIVOR,), level_counts=((0, 1), (1, 1)))),
-    (TowerExtensionType, dict(prime=2, split=G(2))),
     (UniquenessCase, dict(
         exponents=(1, 2), level_counts=((0, 3),), saturation_level=0,
         survivors=(G(2, 8),), canonical=G(2, 8), passed=True,
