@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     "errors": (
         "BoundExceeded ContainmentError DiscriminantMismatch ExcludedField FormatError "
-        "GalabError InfiniteQuotient InvalidCharacteristic KindMismatch NotFundamental "
+        "GalabError InvalidCharacteristic KindMismatch NotFundamental "
         "SplitDataUnavailable"
     ),
     "extensions": (
@@ -37,8 +37,8 @@ _EXPORTS = {
         "verify_diagram verify_uniqueness"
     ),
     "finabelian": (
-        "FiniteAbelianGroup GroupElement dual_finite from_relations group_literal "
-        "hom_group parse_group_literal power_and_socle quotient smith_normal_form"
+        "FiniteAbelianGroup GroupElement dual_finite group_literal hom_group "
+        "parse_group_literal power_and_socle quotient"
     ),
     "quadfields": (
         "BinaryQuadraticForm ClassGroup class_group class_number compose is_fundamental "

@@ -11,12 +11,8 @@ class DomainError(GalabError):
     """Invalid mathematical input; the CLI maps these to exit code 2."""
 
 
-class InfiniteQuotient(DomainError):
-    """The presented quotient has positive free rank, so it is not a finite group."""
-
-
 class KindMismatch(DomainError):
-    """Profinite and discrete-torsion descriptors were mixed in a comparison."""
+    """A descriptor of the wrong kind was given to `dual_profinite` or `dual_discrete`."""
 
 
 class NotFundamental(DomainError):

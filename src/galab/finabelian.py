@@ -5,10 +5,9 @@ descending list of exponents e of its cyclic factors Z/l^e.  Two values
 compare equal exactly when the groups are isomorphic, so isomorphism tests,
 deduplication and report keys all reduce to plain equality.
 
-Everything here is integer-exact.  A presentation Z^g / (relations) is read
-off the diagonal of its Smith normal form, computed on plain rows of ints
-with minimal-absolute-value pivoting and no unimodular transforms, which is
-plenty at the desk scale this library targets (group orders up to ~2**10).
+Everything here is integer-exact.  `quotient` reduces G / <generators> one
+prime at a time, pivoting on an entry of least valuation modulo the largest
+prime power of G, so no general integer Smith normal form is needed.
 
 Subgroups are searched one prime at a time, on a single path:
 `l_subgroups` yields each copy of a given l-group type lazily, in canonical
@@ -24,7 +23,6 @@ from math import gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .arith import factorint
-from .errors import InfiniteQuotient
 
 
 @lru_cache(maxsize=None)
@@ -70,79 +68,6 @@ class _Record:
     def __reduce__(self):
         # rebuild through __init__: the default sets each slot by setattr, which is refused
         return type(self), self._values()
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-
-
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The diagonal of the Smith normal form of an integer matrix, given by its rows.
-
-    It has min(rows, columns) non-negative entries in the divisibility chain
-    d1 | d2 | ..., zeros last.  Pivots are chosen with minimal absolute
-    value, which keeps coefficients small at this scale.
-    """
-    a = [list(r) for r in rows]
-    nr, nc = len(a), len(a[0]) if a else 0
-    if any(len(r) != nc for r in a):
-        raise ValueError("ragged rows")
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def min_pivot(t: int) -> tuple[int, int] | None:
-        best = None
-        best_abs = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x and (best_abs is None or abs(x) < best_abs):
-                    best, best_abs = (i, j), abs(x)
-                    if best_abs == 1:
-                        return best
-        return best
-
-    t = 0
-    while t < min(nr, nc):
-        piv = min_pivot(t)
-        if piv is None:
-            break
-        while True:
-            pi, pj = piv
-            a[t], a[pi] = a[pi], a[t]
-            if pj != t:
-                swap_cols(t, pj)
-            # clear the pivot cross; leftover remainders become smaller pivots
-            while True:
-                p = a[t][t]
-                for i in range(t + 1, nr):
-                    if a[i][t]:
-                        q = a[i][t] // p
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                for j in range(t + 1, nc):
-                    if a[t][j]:
-                        q = a[t][j] // p
-                        for row in a:
-                            row[j] -= q * row[t]
-                below = next((i for i in range(t + 1, nr) if a[i][t]), None)
-                if below is not None:
-                    a[t], a[below] = a[below], a[t]
-                    continue
-                right = next((j for j in range(t + 1, nc) if a[t][j]), None)
-                if right is None:
-                    break
-                swap_cols(t, right)
-            # pivot must divide the remaining block for the divisor chain
-            p = a[t][t]
-            bad = next((i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1:])), None)
-            if bad is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            piv = min_pivot(t)
-        t += 1
-    return tuple(abs(a[i][i]) for i in range(min(nr, nc)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,21 +295,6 @@ class GroupElement(_Record):
     @property
     def order(self) -> int:
         return _element_order(self.coords, self.group.factor_orders)
-
-
-def from_relations(num_generators: int, relations: Sequence[Sequence[int]]) -> FiniteAbelianGroup:
-    """Quotient of Z^g by the row lattice of `relations`, in canonical form.
-
-    Raises ValueError when a row does not have g entries and InfiniteQuotient
-    when the quotient has positive free rank.
-    """
-    if any(len(r) != num_generators for r in relations):
-        raise ValueError(f"every relation must have {num_generators} entries")
-    diagonal = smith_normal_form(relations)
-    free = num_generators - sum(1 for d in diagonal if d)
-    if free:
-        raise InfiniteQuotient(f"quotient has free rank {free}")
-    return FiniteAbelianGroup(*diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -623,15 +533,48 @@ def subgroup_generators(
 def quotient(
     g: FiniteAbelianGroup, generators: Sequence[GroupElement]
 ) -> FiniteAbelianGroup:
-    """Canonical form of G / <generators>."""
-    orders = g.factor_orders
-    k = len(orders)
-    rows = [[orders[i] if j == i else 0 for j in range(k)] for i in range(k)]
+    """Canonical form of G / <generators>, one prime at a time.
+
+    With E the largest exponent at p, the p-part is (Z/p^E)^k modulo the rows
+    diag(p^e_i) and the generators' p-coordinates.  Over Z/p^E an entry of
+    least valuation v divides every other, so it clears its column in one
+    pass and splits off Z/p^v (Macdonald, Symmetric Functions and Hall
+    Polynomials, II.1); a column left with no non-zero entry gives Z/p^E.
+    """
+    coords = []
     for s in generators:
         if s.group != g:
             raise ValueError("generator does not lie in the given group")
-        rows.append(list(s.coords))
-    return from_relations(k, rows)
+        coords.append(s.coords)
+    primary: dict[int, list[int]] = {}
+    start = 0
+    for p, exps in g._primary:
+        q, k = p ** exps[0], len(exps)
+        rows = [[p ** e % q if j == i else 0 for j in range(k)] for i, e in enumerate(exps)]
+        rows += [[x % q for x in c[start:start + k]] for c in coords]
+        start += k
+        primary[p] = found = []
+        while k:
+            entries = ((gcd(x, q), i, j) for i, r in enumerate(rows) for j, x in enumerate(r) if x)
+            pivot = min(entries, default=None)
+            if pivot is None:
+                found += [exps[0]] * k
+                break
+            d, i, j = pivot
+            top = rows.pop(i)
+            inverse = pow(top[j] // d, -1, q)
+            for r in rows:
+                if r[j]:
+                    f = r[j] // d * inverse
+                    r[:] = [(x - f * y) % q for x, y in zip(r, top)]
+                del r[j]
+            k -= 1
+            v = 0
+            while d > 1:
+                d, v = d // p, v + 1
+            if v:
+                found.append(v)
+    return FiniteAbelianGroup._from_primary(primary)
 
 
 # ---------------------------------------------------------------------------

@@ -270,14 +270,16 @@ def class_group(d: int) -> ClassGroup:
     its Sylow p-subgroup S, so the images of the forms, taken in sorted order
     until they span p^e classes, generate S.  The p-part is read off the
     sizes |p^k S| = |S| / |S[p^k]|, where p^k S is spanned by the p^k-th
-    powers of those generators.  Composition is checked on the way: the span
-    must reach exactly p^e, every socle count must be a power of p, and the
-    structure's order must be h; otherwise ArithmeticError.
+    powers of those generators.  The listing must start with the principal
+    form, and composition is checked on the way: the span must reach exactly
+    p^e, every socle count must be a power of p, and the structure's order
+    must be h; otherwise ArithmeticError.
     """
     forms = reduced_forms(d)
     h = len(forms)
     identity = principal_form(d)
-    assert identity in forms, "principal form missing from the reduced list"
+    if forms[:1] != [identity]:
+        raise ArithmeticError("the sorted reduced forms do not start with the principal form")
     primary: dict[int, list[int]] = {}
     for p, e in factorint(h).items():
         q = p**e

@@ -137,7 +137,8 @@ def test_package_names_load_from_their_modules():
     assert all(hasattr(galab, name) for name in galab.__all__)
     assert galab.classify_field is classify_field
     for gone in ("galois_abelian_type", "TowerExtensionType", "descriptors_equal",
-                 "subgroups_isomorphic_to", "abelian_groups_of_order"):
+                 "subgroups_isomorphic_to", "abelian_groups_of_order", "smith_normal_form",
+                 "from_relations", "InfiniteQuotient"):
         assert not hasattr(galab, gone)
 
 

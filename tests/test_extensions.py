@@ -20,7 +20,7 @@ from galab.extensions import (
     verify_uniqueness,
 )
 from galab.finabelian import FiniteAbelianGroup, l_subgroups, partitions_desc, quotient
-from group_helpers import abelian_groups_of_order, subgroup_copies
+from group_helpers import abelian_groups_of_order, from_relations, subgroup_copies
 
 G = FiniteAbelianGroup
 
@@ -400,7 +400,7 @@ def test_canonical_witness_embeds_sub():
     checked = spans = 0
     for s in _canonical_grid():
         b, witness = canonical_extension_with_witness(s)
-        assert b == finabelian.from_relations(*_presentation(s)), s
+        assert b == from_relations(*_presentation(s)), s
         assert tuple(x.order for x in witness) == s.sub.factor_orders, s
         assert quotient(b, list(witness)) == s.quotient_group, s
         if b.order <= 1024:

@@ -3,19 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import random
 from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galab.errors import InfiniteQuotient
 from galab.finabelian import (
     FiniteAbelianGroup,
     GroupElement,
     dual_finite,
     embeds_in,
-    from_relations,
     group_literal,
     hom_group,
     l_subgroups,
@@ -23,10 +22,14 @@ from galab.finabelian import (
     partitions_desc,
     power_and_socle,
     quotient,
-    smith_normal_form,
     subgroup_generators,
 )
-from group_helpers import abelian_groups_of_order, subgroup_copies
+from group_helpers import (
+    abelian_groups_of_order,
+    from_relations,
+    smith_normal_form,
+    subgroup_copies,
+)
 
 G = FiniteAbelianGroup
 
@@ -86,7 +89,7 @@ def hom_order_oracle(g: FiniteAbelianGroup, h: FiniteAbelianGroup) -> int:
     return count
 
 
-# -- Smith normal form -------------------------------------------------------
+# -- Smith normal form (the test oracle in group_helpers) -------------------
 
 
 def _check_snf(rows):
@@ -158,9 +161,9 @@ def test_from_relations_examples():
 
 
 def test_from_relations_infinite_quotient():
-    with pytest.raises(InfiniteQuotient):
+    with pytest.raises(ValueError, match="free rank 1"):
         from_relations(2, [[2, 0]])
-    with pytest.raises(InfiniteQuotient):
+    with pytest.raises(ValueError, match="free rank 1"):
         from_relations(3, [[1, 0, 0], [0, 1, 0]])
     assert from_relations(0, []) == G()
 
@@ -172,7 +175,7 @@ def test_from_relations_row_invariance(perm, mult, data):
     rows = [r if any(r) else [1, 0, 0] for r in rows]
     try:
         base = from_relations(3, rows)
-    except InfiniteQuotient:
+    except ValueError:  # positive free rank
         return
     permuted = [rows[i] for i in perm]
     assert from_relations(3, permuted) == base
@@ -478,7 +481,11 @@ def test_quotient_rejects_foreign_generator():
 
 
 def test_quotient_exactness_for_enumerated_subgroups():
+    # |l^n (G/S)| = |l^n G| / |l^n G meet S| for every l and n fixes the type of G/S
+    checked = 0
     for g in abelian_groups_of_order(16) + abelian_groups_of_order(24):
+        k = len(g.factor_orders)
+        units = [g.element([int(i == j) for j in range(k)]) for i in range(k)]
         for a in (G(2), G(4), G(2, 2)):
             if g.order % max(a.order, 1):
                 continue
@@ -487,6 +494,59 @@ def test_quotient_exactness_for_enumerated_subgroups():
                 assert len(els) == a.order
                 q = quotient(g, list(gens))
                 assert q.order == g.order // a.order
+                for l in g.primes:
+                    for n in range(1, g.exponents_at(l)[0] + 1):
+                        power = span_set([x * l ** n for x in units], g)
+                        expected = len(power) // len(power & els)
+                        assert power_and_socle(q, l ** n)[0].order == expected, (g, gens, l, n)
+                checked += 1
+    assert checked == 108
+
+
+def _quotient_by_smith_form(g: FiniteAbelianGroup, rows: list[list[int]]) -> FiniteAbelianGroup:
+    orders = g.factor_orders
+    diagonal = [[d if j == i else 0 for j in range(len(orders))] for i, d in enumerate(orders)]
+    return from_relations(len(orders), diagonal + rows)
+
+
+def test_quotient_matches_smith_form_oracle():
+    rng = random.Random(20240514)
+    groups = [
+        G(),
+        G(7),
+        G(6, 12, 10),
+        G(8, 4, 4, 2),
+        G(9, 27, 3),
+        G(36, 90, 5),
+        G(2**70, 2**65, 2**3),
+        G(3**45, 3**2, 5**30),
+        G(2**64 + 13, 2**66 * 3),
+    ]
+    checked = 0
+    for g in groups:
+        orders = g.factor_orders
+        # no generators, and the zero element alone
+        assert quotient(g, []) == g == _quotient_by_smith_form(g, [])
+        assert quotient(g, [g.zero()]) == g
+        for _ in range(40):
+            rows = []
+            for _ in range(rng.randint(1, 4)):
+                kind = rng.random()
+                if kind < 0.2 or not orders:  # zero coordinates
+                    row = [0 if rng.random() < 0.7 else rng.randrange(d) for d in orders]
+                elif kind < 0.4:  # outside [0, d): negative or past the order
+                    row = [rng.randrange(-3 * d, 3 * d) for d in orders]
+                elif kind < 0.6:  # a multiple of a factor order's prime, only at one prime
+                    p = rng.choice(g.primes)
+                    row = [rng.randrange(d) * p if d % p == 0 else 0 for d in orders]
+                else:
+                    row = [rng.randrange(d) for d in orders]
+                rows.append(row)
+                if rng.random() < 0.3:  # a repeated generator
+                    rows.append(list(row))
+            assert quotient(g, [g.element(r) for r in rows]) == _quotient_by_smith_form(g, rows), (g, rows)
+            checked += 1
+    assert checked == 40 * len(groups)
 
 
 # -- enumeration helpers -----------------------------------------------------------

@@ -189,6 +189,14 @@ def test_class_group_checks_discriminant_once(monkeypatch):
         class_group(-12)
 
 
+def test_class_group_refuses_a_listing_without_the_principal_form(monkeypatch):
+    # a raise, not an assert, so the check survives python -O
+    listing = quadfields.reduced_forms
+    monkeypatch.setattr(quadfields, "reduced_forms", lambda d: [f for f in listing(d) if f.a != 1])
+    with pytest.raises(ArithmeticError, match="principal form"):
+        class_group(-23)
+
+
 def test_fundamental_discriminants_listing():
     ds = fundamental_discriminants(25)
     assert ds == [-3, -4, -7, -8, -11, -15, -19, -20, -23, -24]
