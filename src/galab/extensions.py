@@ -29,7 +29,6 @@ from .finabelian import (
     partitions_desc,
     power_and_socle,
     quotient,
-    subgroup_generators,
 )
 
 DEFAULT_ENUMERATION_BOUND = 2 ** 10
@@ -235,24 +234,20 @@ def _witness(b: FiniteAbelianGroup, spec: TruncationSpec, level: int) -> tuple[G
     tuples, in l^level B built as its own group, factors d_i / l^level, and
     mapped back by z -> l^level z.  That map is injective, coordinatewise
     monotone and keeps element orders, so the copies come in the order, and
-    get the generators, of a search in B filtered to l^level B.  Each copy
-    is tested through its spanning elements; the search stops at the first
-    copy S with B/S isomorphic to the quotient sum, and only S gets its
-    canonical generator tuple (`subgroup_generators`).
+    get the canonical generators, of a search in B filtered to l^level B.
+    Each copy is tested through those generators, and the first copy S with
+    B/S isomorphic to the quotient sum is returned.
     """
     l = spec.prime
     scale = l ** level
     mu = spec.sub.exponents_at(l)
     inner = FiniteAbelianGroup.from_prime_exponents(l, [e - level for e in b.exponents_at(l)])
     pad = (0,) * (len(b.factor_orders) - len(inner.factor_orders))
-
-    def lift(coords: Iterable[tuple[int, ...]]) -> tuple[GroupElement, ...]:
-        return tuple(GroupElement(b, tuple(scale * z for z in c) + pad) for c in coords)
-
     c_group = spec.quotient_group
-    for elements, spanning in l_subgroups(inner, l, mu):
-        if quotient(b, lift(spanning)) == c_group:
-            return lift(subgroup_generators(inner, l, mu, elements))
+    for generators in l_subgroups(inner, l, mu):
+        witness = tuple(GroupElement(b, tuple(scale * z for z in c) + pad) for c in generators)
+        if quotient(b, witness) == c_group:
+            return witness
     raise AssertionError(f"{b} survives at level {level} of {spec} but has no witness there")
 
 

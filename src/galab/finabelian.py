@@ -9,10 +9,10 @@ Everything here is integer-exact.  `quotient` reduces G / <generators> one
 prime at a time, pivoting on an entry of least valuation modulo the largest
 prime power of G, so no general integer Smith normal form is needed.
 
-Subgroups are searched one prime at a time, on a single path:
-`l_subgroups` yields each copy of a given l-group type lazily, in canonical
-order, and `subgroup_generators` names one copy's canonical generators.  A
-subgroup of composite order is the sum of its l-parts.
+Subgroups are searched one prime at a time, by one routine: `l_subgroups`
+yields each copy of a given l-group type lazily, in canonical order, named
+by its canonical generators.  A subgroup of composite order is the sum of
+its l-parts.
 """
 
 from __future__ import annotations
@@ -379,9 +379,6 @@ class _Packing:
         return s - ((((s + self.bias) & self.tops) >> self.top_bit) * self.low & self.orders)
 
 
-_packing = lru_cache(maxsize=64)(_Packing)
-
-
 def _extend_span(
     current: frozenset[int], g: int, step: int, add: Callable[[int, int], int]
 ) -> frozenset[int] | None:
@@ -406,19 +403,29 @@ def _extend_span(
 
 def l_subgroups(
     g: FiniteAbelianGroup, prime: int, exponents: Sequence[int]
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]]:
-    """Each subgroup of the l-part of G of type `exponents`, once, lazily, in ascending order.
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Each subgroup of the l-part of G of type `exponents`, once, lazily, in canonical order.
 
-    Yields (sorted element tuple, spanning elements), ascending in the
-    element tuples.  A subgroup S is reached through its greedy sequence
-    g_1 = min(S - 0), g_(j+1) = min(S - <g_1..g_j>), which is also the
-    spanning tuple: a child <T, x> of T = <g_1..g_j> is kept only when
-    x > g_j and every element of <T, x> below x lies in T.  Of two subgroups
-    of equal order, the one with the smaller greedy sequence has the smaller
-    element tuple, and children are tried in ascending order, so the
-    subgroups come out sorted.  Candidates are the l^e-torsion of G, e the
-    largest exponent; a child is pruned when it outgrows |S| or its type no
-    longer fits in the target type.
+    Yields each subgroup S as its canonical generator tuple, in ascending
+    order of the sorted element tuples.  S is reached through its greedy
+    sequence g_1 = min(S - 0), g_(j+1) = min(S - <g_1..g_j>): a child
+    <T, x> of T = <g_1..g_j> is kept only when x > g_j and every element of
+    <T, x> below x lies in T.  Of two subgroups of equal order, the one with
+    the smaller greedy sequence has the smaller element tuple, and children
+    are tried in ascending order, so the subgroups come out sorted.
+    Candidates are the l^e-torsion of G, e the largest exponent; a child is
+    pruned when it outgrows |S| or its type no longer fits in the target
+    type.
+
+    The generators are named greedily: for each target exponent e, in
+    descending order, the least x in S of order l^e whose l^(e-1) multiple
+    lies outside the span T of the earlier picks, so that <x> meets T only
+    in 0.  Such an x always exists and never has to be undone: T is a
+    direct summand of S, x has the largest order in S/T, and an element of
+    largest order spans a cyclic direct summand (Macdonald, Symmetric
+    Functions and Hall Polynomials, ch. II).  So the tuple is the
+    lexicographically first one of elements of orders l^e, e descending,
+    that spans S as a direct sum; its equal-exponent entries ascend.
     """
     orders = g.factor_orders
     want = sorted(exponents, reverse=True)
@@ -426,17 +433,18 @@ def l_subgroups(
     depth = sum(want)  # |S| = l^depth
     if not embeds_in(FiniteAbelianGroup.from_prime_exponents(prime, want), g):
         return
-    packing = _packing(orders)
+    packing = _Packing(orders)
     add = packing.add
     torsion = itertools.product(*(range(0, d, d // gcd(d, prime ** top)) for d in orders))
     coords = {packing.pack(x): x for x in torsion}  # ascending, 0 first
     candidates = list(coords)[1:]
     times_l = {x: packing.pack(prime * c % d for c, d in zip(coords[x], orders)) for x in candidates}
     level = {0: 0}  # x has order l^level[x]
+    bottom = {}  # l^(level[x] - 1) x, which spans the order-l subgroup of <x>
     for x in candidates:
-        y, level[x] = times_l[x], 1
+        bottom[x], y, level[x] = x, times_l[x], 1
         while y:
-            y, level[x] = times_l[y], level[x] + 1
+            bottom[x], y, level[x] = y, times_l[y], level[x] + 1
     # roots[k][y]: the candidates x with l^k x = y, ascending.  A child x of T
     # with |<T, x>| <= l^depth has l^k x in T for k = depth - log_l |T|.
     roots: list[dict[int, list[int]]] = [{} for _ in range(depth + 1)]
@@ -460,8 +468,7 @@ def l_subgroups(
             below += counts[n]
         return True
 
-    def grow(span: frozenset[int], spanning: tuple[int, ...], k: int) -> Iterator:
-        last = spanning[-1] if spanning else 0
+    def grow(span: frozenset[int], last: int, k: int) -> Iterator[frozenset[int]]:
         children = sorted(x for t in span for x in roots[k].get(t, ()) if x > last and x not in span)
         for x in children:
             # l^j is the order of x modulo T
@@ -472,62 +479,23 @@ def l_subgroups(
             if bigger is None or not fits(bigger):
                 continue
             if j == k:
-                yield bigger, spanning + (x,)
+                yield bigger
             else:
-                yield from grow(bigger, spanning + (x,), k - j)
+                yield from grow(bigger, x, k - j)
 
-    found = grow(frozenset({0}), (), depth) if depth else iter([(frozenset({0}), ())])
-    for span, spanning in found:
-        yield tuple(coords[x] for x in sorted(span)), tuple(coords[x] for x in spanning)
+    def generators(span: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+        picks, spanned = [], {0}
+        for e in want:
+            x = min(x for x in span if level[x] == e and bottom[x] not in spanned)
+            multiples, y = [0], x
+            while y:
+                multiples.append(y)
+                y = add(y, x)
+            spanned = {add(s, m) for s in spanned for m in multiples}
+            picks.append(coords[x])
+        return tuple(picks)
 
-
-def subgroup_generators(
-    g: FiniteAbelianGroup,
-    prime: int,
-    exponents: Sequence[int],
-    elements: Sequence[tuple[int, ...]],
-) -> tuple[tuple[int, ...], ...]:
-    """The first generator tuple of the l-subgroup `elements`, of type `exponents`.
-
-    A generator tuple has one element of order l^e per target exponent e,
-    exponents descending, each meeting the span of those before it only in
-    0.  The first such tuple in lexicographic order is returned; it is
-    searched inside the subgroup alone.  Its equal-exponent entries ascend:
-    the tuple spans a direct sum in any order, so swapping two of them would
-    give another generator tuple.
-    """
-    orders = g.factor_orders
-    if any(len(x) != len(orders) or not all(0 <= c < d for c, d in zip(x, orders)) for x in elements):
-        raise ValueError("elements are not coordinate tuples of the group")
-    packing = _packing(orders)
-    add = packing.add
-    want = sorted(exponents, reverse=True)
-    coords = {packing.pack(x): x for x in elements}
-    multiples: dict[int, list[int]] = {}  # k x for 0 <= k < order of x
-    for x in sorted(coords):
-        multiples[x], y = [0], x
-        while y:
-            multiples[x].append(y)
-            y = add(y, x)
-    pools = {e: [x for x, m in multiples.items() if len(m) == prime ** e] for e in set(want)}
-
-    def first(pos: int, span: set[int]) -> tuple[int, ...] | None:
-        if pos == len(want):
-            return ()
-        f = want[pos]
-        for x in pools[f]:
-            # <x> meets the span in 0 iff its subgroup of order l does not lie there
-            if multiples[x][prime ** (f - 1)] in span:
-                continue
-            rest = first(pos + 1, {add(s, m) for s in span for m in multiples[x]})
-            if rest is not None:
-                return (x,) + rest
-        return None
-
-    found = first(0, {0})
-    if found is None or len(coords) != prime ** sum(want):
-        raise ValueError("elements are not a subgroup of the given type")
-    return tuple(coords[x] for x in found)
+    yield from map(generators, grow(frozenset({0}), 0, depth) if depth else [frozenset({0})])
 
 
 def quotient(

@@ -2,7 +2,8 @@
 
 `abelian_groups_of_order` lists every abelian group of an order;
 `subgroup_copies` lists every copy of a group inside another through the
-library's one subgroup search, `l_subgroups` with `subgroup_generators`.
+library's one subgroup search, `l_subgroups`; `span_set` spans a subgroup
+from generators by brute force.
 `smith_normal_form` and `from_relations` read a presentation Z^g / (rows)
 off a general integer Smith normal form: the oracle for `quotient`.
 """
@@ -18,7 +19,6 @@ from galab.finabelian import (
     GroupElement,
     l_subgroups,
     partitions_desc,
-    subgroup_generators,
 )
 
 
@@ -35,15 +35,21 @@ def abelian_groups_of_order(n: int) -> list[FiniteAbelianGroup]:
 def subgroup_copies(g: FiniteAbelianGroup, a: FiniteAbelianGroup) -> list[list[GroupElement]]:
     """Every subgroup of G isomorphic to A, each as a generator list.
 
-    Each l-part comes from `l_subgroups`, in its canonical order, with the
-    generators of `subgroup_generators`; a copy of composite order lists the
-    generators of its l-parts one prime after another.
+    Each l-part comes from `l_subgroups`, in its canonical order, with its
+    canonical generators; a copy of composite order lists the generators of
+    its l-parts one prime after another.
     """
-    per_prime = [
-        [subgroup_generators(g, p, a.exponents_at(p), els) for els, _ in l_subgroups(g, p, a.exponents_at(p))]
-        for p in a.primes
-    ]
+    per_prime = [list(l_subgroups(g, p, a.exponents_at(p))) for p in a.primes]
     return [[GroupElement(g, c) for c in itertools.chain(*gens)] for gens in itertools.product(*per_prime)]
+
+
+def span_set(gens, g: FiniteAbelianGroup) -> frozenset[tuple[int, ...]]:
+    """Coordinate set of the subgroup of G generated by gens: all their sums."""
+    els = {g.zero().coords}
+    for x in gens:
+        multiples = [(x * k).coords for k in range(x.order)]
+        els = {g.element([a + b for a, b in zip(y, m)]).coords for y in els for m in multiples}
+    return frozenset(els)
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:

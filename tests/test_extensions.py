@@ -20,22 +20,13 @@ from galab.extensions import (
     verify_uniqueness,
 )
 from galab.finabelian import FiniteAbelianGroup, l_subgroups, partitions_desc, quotient
-from group_helpers import abelian_groups_of_order, from_relations, subgroup_copies
+from group_helpers import abelian_groups_of_order, from_relations, span_set, subgroup_copies
 
 G = FiniteAbelianGroup
 
 
 def spec(prime, sub, exps, m=0) -> TruncationSpec:
     return TruncationSpec(prime, sub, tuple(exps), m)
-
-
-def span_set(gens, g: FiniteAbelianGroup) -> frozenset[tuple[int, ...]]:
-    """Coordinate set of the subgroup of G generated by gens: all their sums."""
-    els = {g.zero().coords}
-    for x in gens:
-        multiples = [(x * k).coords for k in range(x.order)]
-        els = {g.element([a + b for a, b in zip(y, m)]).coords for y in els for m in multiples}
-    return frozenset(els)
 
 
 # -- spec validation -----------------------------------------------------------

@@ -22,12 +22,12 @@ from galab.finabelian import (
     partitions_desc,
     power_and_socle,
     quotient,
-    subgroup_generators,
 )
 from group_helpers import (
     abelian_groups_of_order,
     from_relations,
     smith_normal_form,
+    span_set,
     subgroup_copies,
 )
 
@@ -70,15 +70,6 @@ def snf_diagonal_oracle(rows):
         prev = dk
     diag += [0] * (min(nr, nc) - len(diag))
     return tuple(diag)
-
-
-def span_set(gens, g: FiniteAbelianGroup) -> frozenset[tuple[int, ...]]:
-    """Coordinate set of the subgroup of G generated by gens: all their sums."""
-    els = {g.zero().coords}
-    for x in gens:
-        multiples = [(x * k).coords for k in range(x.order)]
-        els = {g.element([a + b for a, b in zip(y, m)]).coords for y in els for m in multiples}
-    return frozenset(els)
 
 
 def hom_order_oracle(g: FiniteAbelianGroup, h: FiniteAbelianGroup) -> int:
@@ -432,30 +423,36 @@ def test_subgroup_search_matches_tuple_dfs_oracle():
     assert (pairs, subgroups) == (259, 4192)
 
 
-def test_l_subgroups_span_by_greedy_sequences():
-    # each spanning entry is the least element outside the span of those before it
+def test_greedy_generators_match_tuple_dfs_oracle_past_its_bounds():
+    # subs of order 2^4 and 3^3, whose equal exponents leave the greedy pick the most room
+    sample = [
+        (2, (1, 1, 1, 1), [(4, 1, 1, 1), (3, 2, 1, 1), (2, 2, 2, 1)]),
+        (2, (2, 2), [(3, 2, 2), (2, 2, 2, 1), (2, 2, 1, 1, 1)]),
+        (2, (2, 1, 1), [(3, 2, 1, 1), (2, 2, 2, 1)]),
+        (3, (1, 1, 1), [(3, 1, 1), (2, 2, 1)]),
+    ]
+    subgroups = 0
+    for prime, mu, lams in sample:
+        for lam in lams:
+            b = G.from_prime_exponents(prime, lam)
+            found = list(l_subgroups(b, prime, mu))
+            assert found == [t for _, t in tuple_dfs_subgroups(b, prime, mu)], (b, mu)
+            subgroups += len(found)
+    assert subgroups == 349
+
+
+def test_l_subgroups_ascend_in_element_order():
+    # the copies come in strictly ascending order of their sorted element tuples
     for prime, b, mu in _l_group_pairs(((2, 5, 3), (3, 3, 2), (5, 2, 2))):
-        found = list(l_subgroups(b, prime, mu))
-        assert [els for els, _ in found] == sorted(els for els, _ in found)
-        for els, spanning in found:
-            assert len(els) == prime ** sum(mu)
-            for j, x in enumerate(spanning):
-                below = span_set([b.element(y) for y in spanning[:j]], b)
-                assert x == min(set(els) - below), (b, mu, spanning)
-            assert span_set([b.element(y) for y in spanning], b) == set(els)
+        found = [sorted(span_set([b.element(x) for x in gens], b)) for gens in l_subgroups(b, prime, mu)]
+        assert all(len(els) == prime ** sum(mu) for els in found), (b, mu)
+        assert all(x < y for x, y in zip(found, found[1:])), (b, mu)
 
 
 def test_subgroup_generators_examples():
     g = G(2, 4)  # coordinates (mod 4, mod 2)
-    cyclic = [(0, 0), (1, 0), (2, 0), (3, 0)]
-    assert subgroup_generators(g, 2, (2,), cyclic) == ((1, 0),)
-    socle = [(0, 0), (0, 1), (2, 0), (2, 1)]
-    assert subgroup_generators(g, 2, (1, 1), socle) == ((0, 1), (2, 0))
-    for exps in ((2,), (1,)):
-        with pytest.raises(ValueError):
-            subgroup_generators(g, 2, exps, socle)
-    with pytest.raises(ValueError):
-        subgroup_generators(g, 2, (1,), [(0, 0), (0, 3)])
+    assert list(l_subgroups(g, 2, (2,))) == [((1, 0),), ((1, 1),)]
+    assert list(l_subgroups(g, 2, (1, 1))) == [((0, 1), (2, 0))]
 
 
 def test_quotient_examples():
