@@ -10,7 +10,9 @@ all abelian l-groups of the forced order, so at this scale the reports are
 ground truth rather than heuristics.  Whether a candidate B survives, and up
 to which level, is decided in closed form from the types of B, A and the
 quotient sum (Green's theorem on Hall polynomials); a subgroup search runs
-only on survivors, to find the canonical witness copy of A.
+only for the classes a report returns, to find the canonical witness copy of
+A.  A uniqueness sweep reads its counts from the levels and searches only the
+survivors at saturation.
 """
 
 from __future__ import annotations
@@ -218,13 +220,28 @@ def _survival_level(
 
 
 def _survival_levels(spec: TruncationSpec) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(type, level) of each l-group of the spec's order that survives at some level."""
+    """(type, level) of each l-group of the spec's order that survives at some level.
+
+    A type lam survives at all only if c^lam_{mu,nu} != 0, which needs
+    lam_1 <= mu_1 + nu_1, len(lam) <= len(mu) + len(nu) and nu inside lam;
+    the scan visits no other lam.
+    """
     mu = spec.sub.exponents_at(spec.prime)
     nu = spec.quotient_exponents[::-1]
-    for part in partitions_desc(sum(mu) + sum(nu)):
+    top = (mu[0] if mu else 0) + (nu[0] if nu else 0)
+    for part in partitions_desc(sum(mu) + sum(nu), top):
+        if len(nu) > len(part) or len(part) > len(mu) + len(nu):
+            continue
+        if any(a < b for a, b in zip(part, nu)):
+            continue
         level = _survival_level(part, mu, nu)
         if level is not None:
             yield part, level
+
+
+def _saturation(spec: TruncationSpec) -> int:
+    """Largest level at which some l-group survives (-1 if none ever does)."""
+    return max((level for _, level in _survival_levels(spec)), default=-1)
 
 
 def _witness(b: FiniteAbelianGroup, spec: TruncationSpec, level: int) -> tuple[GroupElement, ...]:
@@ -288,22 +305,29 @@ def enumerate_extensions(
 
     Every abelian l-group of the forced order is tested; a candidate B
     survives at level m when some subgroup S isomorphic to the sub lies in
-    l^m B with B/S isomorphic to the cyclic sum.  `classes` holds the
-    survivors at the spec's own div_level; `level_counts` the number of
-    survivors at every level up to saturation.
+    l^m B with B/S isomorphic to the cyclic sum.  `level_counts` holds the
+    number of survivors at every level up to saturation, read off the
+    closed-form levels; `classes` the survivors at the spec's own div_level,
+    and only these are searched for their witnesses.
     """
     _check_bound(spec, bound)
     c_group = spec.quotient_group
-    survivors: list[SurvivorClass] = []
-    for part, level in _survival_levels(spec):
-        b = FiniteAbelianGroup.from_prime_exponents(spec.prime, part)
-        survivors.append(SurvivorClass(b, _witness(b, spec, level), c_group, level))
-    survivors.sort(key=lambda s: s.group.sort_key())
-    top = max((s.max_level for s in survivors), default=-1)
-    counts = tuple(
-        (m, sum(1 for s in survivors if s.max_level >= m)) for m in range(top + 1)
+    survivors = sorted(
+        (
+            (FiniteAbelianGroup.from_prime_exponents(spec.prime, part), level)
+            for part, level in _survival_levels(spec)
+        ),
+        key=lambda t: t[0].sort_key(),
     )
-    classes = tuple(s for s in survivors if s.max_level >= spec.div_level)
+    top = max((level for _, level in survivors), default=-1)
+    counts = tuple(
+        (m, sum(1 for _, level in survivors if level >= m)) for m in range(top + 1)
+    )
+    classes = tuple(
+        SurvivorClass(b, _witness(b, spec, level), c_group, level)
+        for b, level in survivors
+        if level >= spec.div_level
+    )
     return ExtensionReport(spec, classes, counts)
 
 
@@ -414,14 +438,18 @@ def verify_uniqueness(
     """Sweep the divisibility level for each exponent list and check uniqueness.
 
     A case passes when exactly one isomorphism class survives at the
-    saturation level and it equals the canonical glued extension.
+    saturation level and it equals the canonical glued extension.  The
+    saturation level comes in closed form (the canonical extension survives
+    at level 0, so it is never -1); the report is then enumerated at that
+    level, so only the survivors there are searched for witnesses.
     """
     cases = []
     for exps in exponent_lists:
         spec = TruncationSpec(prime, sub, tuple(exps), 0)
-        report = enumerate_extensions(spec, bound)
-        sat = report.saturation_level
-        survivors = tuple(s.group for s in report.survivors_at(sat)) if sat >= 0 else ()
+        _check_bound(spec, bound)
+        sat = _saturation(spec)
+        report = enumerate_extensions(TruncationSpec(prime, sub, spec.quotient_exponents, sat), bound)
+        survivors = tuple(s.group for s in report.classes)
         canonical = canonical_extension_group(spec)
         passed = len(survivors) == 1 and survivors[0] == canonical
         cases.append(
@@ -481,7 +509,7 @@ def verify_diagram(
     if prime != spec.prime or sub != spec.sub:
         raise ValueError("spec is inconsistent with the given prime and sub group")
     _check_bound(spec, bound)
-    saturation = max((level for _, level in _survival_levels(spec)), default=-1)
+    saturation = _saturation(spec)
     if model is None:
         b, witness = canonical_extension_with_witness(spec)
     else:

@@ -304,17 +304,40 @@ def test_closed_form_implies_rank_and_exponent_caps():
     assert skipped > 0
 
 
-def test_search_runs_only_for_survivor_witnesses(monkeypatch):
+def _unpruned_survival_levels(s):
+    """(type, level) from every partition of the order, with no shape test before the scan."""
+    mu = s.sub.exponents_at(s.prime)
+    nu = s.quotient_exponents[::-1]
+    for part in partitions_desc(sum(mu) + sum(nu)):
+        level = extensions._survival_level(part, mu, nu)
+        if level is not None:
+            yield part, level
+
+
+def test_pruned_level_scan_matches_every_partition():
+    specs = list(_roadmap_grid()) + [spec(p, sub, exps) for p, sub, exps in BENCHMARK_GRID]
+    for s in specs:
+        assert list(extensions._survival_levels(s)) == list(_unpruned_survival_levels(s)), s
+    assert len(specs) == 86
+
+
+def _count_searches(monkeypatch) -> list:
     searched = []
 
     def counting(g, prime, exponents):
         searched.append(g)
         return l_subgroups(g, prime, exponents)
 
+    monkeypatch.setattr(extensions, "l_subgroups", counting)
+    return searched
+
+
+def test_search_runs_only_for_survivor_witnesses(monkeypatch):
+    searched = _count_searches(monkeypatch)
+
     def no_enumeration(*args, **kwargs):
         raise AssertionError("verify_diagram enumerated the extensions")
 
-    monkeypatch.setattr(extensions, "l_subgroups", counting)
     s = spec(2, G(2, 2, 2), [1, 2, 3])
     report = enumerate_extensions(s)
     assert len(report.classes) == 8
@@ -329,6 +352,20 @@ def test_search_runs_only_for_survivor_witnesses(monkeypatch):
     for n in (1, 2):
         verify_diagram(2, s.sub, s, n)
     assert searched == []
+
+
+def test_search_runs_only_for_returned_classes(monkeypatch):
+    searched = _count_searches(monkeypatch)
+    for m, returned in ((0, 8), (1, 1), (2, 0)):
+        searched.clear()
+        report = enumerate_extensions(spec(2, G(2, 2, 2), [1, 2, 3], m))
+        assert report.counts == {0: 8, 1: 1}
+        assert len(searched) == len(report.classes) == returned
+    # a sweep searches once per class at saturation, not once per survivor
+    for sub, exps, returned in ((G(2, 2, 2), [1, 2, 3], 1), (G(2, 4), [1, 2], 2)):
+        searched.clear()
+        (case,) = verify_uniqueness(2, sub, [exps]).cases
+        assert len(searched) == len(case.survivors) == case.level_counts[-1][1] == returned
 
 
 def test_witness_search_stops_at_the_first_copy(monkeypatch):
@@ -436,6 +473,77 @@ def test_uniqueness_document():
     doc = rep.to_document()
     assert doc["all_passed"] is True
     assert doc["cases"][0]["canonical"] == "2,8"
+
+
+def test_uniqueness_documents_are_pinned():
+    # the benchmark grid at bound 4096 and the roadmap grid at 1024: the digest of the
+    # documents made when every survivor at every level was searched for a witness
+    cases = [(p, sub, exps, 4096) for p, sub, exps in BENCHMARK_GRID]
+    cases += [(s.prime, s.sub, s.quotient_exponents, 1024) for s in _roadmap_grid()]
+    docs = []
+    for prime, sub, exps, bound in cases:
+        try:
+            docs.append(verify_uniqueness(prime, sub, [exps], bound).to_document())
+        except BoundExceeded as exc:
+            docs.append({"bound_exceeded": str(exc)})
+    assert len(docs) == 86
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == "e8525e04c6e6bf1627ef924db7f409fb3c9a2a5baa966080ab51045ec615cf43"
+
+
+def test_non_homocyclic_sub_fails_with_two_survivors():
+    rep = verify_uniqueness(2, G(2, 4), [[1, 2], [1, 2, 3]], bound=4096)
+    assert not rep.all_passed
+    assert [c.to_document() for c in rep.cases] == [
+        {
+            "exponents": [1, 2],
+            "level_counts": {"0": 7, "1": 2},
+            "saturation_level": 1,
+            "classes_at_saturation": ["8,8", "4,16"],
+            "canonical": "8,8",
+            "passed": False,
+        },
+        {
+            "exponents": [1, 2, 3],
+            "level_counts": {"0": 13, "1": 5, "2": 2},
+            "saturation_level": 2,
+            "classes_at_saturation": ["2,16,16", "2,8,32"],
+            "canonical": "2,8,32",
+            "passed": False,
+        },
+    ]
+
+
+def _predicted_uniqueness(mu: tuple[int, ...], exps: tuple[int, ...]) -> tuple[bool, int]:
+    """(verdict, saturation level) predicted from the sub's type mu and the exponents.
+
+    With r = len(mu) and n = len(exps): a case passes exactly when the sub is
+    trivial, or homocyclic with n >= r; the saturation level is k_{n-r+1},
+    the r-th largest exponent (k_n for the trivial sub, 0 when n < r).  This
+    is checked on the grid below, not proven.
+    """
+    r, n = len(mu), len(exps)
+    passed = r == 0 or (len(set(mu)) == 1 and n >= r)
+    saturation = exps[-1] if r == 0 else exps[n - r] if n >= r else 0
+    return passed, saturation
+
+
+def test_uniqueness_predicate_on_a_grid():
+    exponent_sets = [c for k in (1, 2, 3) for c in itertools.combinations(range(1, 6), k)]
+    checked = 0
+    for prime, top in ((2, 12), (3, 8)):
+        for size in range(5):
+            for mu in partitions_desc(size):
+                sub = G.from_prime_exponents(prime, mu)
+                for exps in exponent_sets:
+                    if size + sum(exps) > top:
+                        continue
+                    (case,) = verify_uniqueness(prime, sub, [exps], prime ** top).cases
+                    assert (case.passed, case.saturation_level) == _predicted_uniqueness(mu, exps), (
+                        prime, mu, exps,
+                    )
+                    checked += 1
+    assert checked == 362
 
 
 # -- diagram checks --------------------------------------------------------------------
