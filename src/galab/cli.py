@@ -37,7 +37,7 @@ from .descriptors import (
 from .errors import FormatError, GalabError, exit_code_for
 from .extensions import DEFAULT_ENUMERATION_BOUND, verify_uniqueness
 from .finabelian import FiniteAbelianGroup, group_literal, parse_group_literal
-from .quadfields import class_group
+from .quadfields import class_group, format_form
 
 
 class UsageError(Exception):
@@ -136,7 +136,7 @@ def _load_descriptor(path: str):
 def _cmd_classgroup(args) -> tuple[dict, list[str], int]:
     cg = class_group(args.disc)
     structure = group_literal(cg.structure)
-    forms = [str(f) for f in cg.representatives]
+    forms = [format_form(f) for f in cg.forms]
     payload = {
         "command": "classgroup",
         "discriminant": cg.discriminant,

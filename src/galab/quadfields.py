@@ -6,8 +6,12 @@ of D modulo 4a for each admissible a (Tonelli-Shanks, Hensel lifting and
 CRT; Cohen, A Course in Computational Algebraic Number Theory, §1.5 and
 §5.3), so the listing costs about sqrt|D| steps.  Classes compose by
 Shanks' composition (Cohen, Algorithm 5.4.7) followed by reduction.  The
-class group structure is read off each Sylow p-subgroup, spanned by the
-images of f -> f^(h/p^e), which holds only p^e classes.
+arithmetic runs on plain (a, b, c) triples; `BinaryQuadraticForm` objects
+are built only by the public functions and `ClassGroup.representatives`.
+The class group structure is read off each Sylow p-subgroup, the image of
+f -> f^(h/p^e).  For p exactly dividing h it is Z/p, and one image g != 1
+with g^p = 1 shows it; for e >= 2 the images span it, and it holds only
+p^e classes.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ from .finabelian import FiniteAbelianGroup, _Record
 # sqrt|D| steps, but h, the number of forms held and printed, can reach
 # about sqrt|D| log|D|.
 MAX_ENUMERATED_DISCRIMINANT = 10 ** 10
+
+# a form (a, b, c) as the arithmetic carries it, with the discriminant passed alongside
+Triple = tuple[int, int, int]
 
 
 def _squarefree(n: int) -> bool:
@@ -87,23 +94,31 @@ class BinaryQuadraticForm(_Record):
         return reduce_form(BinaryQuadraticForm(self.a, -self.b, self.c))
 
     def __str__(self) -> str:
-        return f"({self.a},{self.b},{self.c})"
+        return format_form((self.a, self.b, self.c))
+
+
+def format_form(form: Triple) -> str:
+    """A form (a, b, c) as printed: "(a,b,c)"."""
+    return "(%d,%d,%d)" % form
+
+
+def _principal(d: int) -> Triple:
+    b0 = d % 2
+    return 1, b0, (b0 - d) // 4
 
 
 def principal_form(d: int) -> BinaryQuadraticForm:
     """The identity class: (1, 0, -D/4) or (1, 1, (1-D)/4)."""
-    b0 = d % 2
-    return BinaryQuadraticForm(1, b0, (b0 * b0 - d) // 4)
+    if d % 4 in (2, 3):
+        raise ValueError(f"{d} is not a discriminant: D must be 0 or 1 mod 4")
+    return BinaryQuadraticForm(*_principal(d))
 
 
-def reduce_form(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
-    """The unique reduced form equivalent to f."""
-    d = f.discriminant()
-    a, b, c = f.a, f.b, f.c
+def _reduce(a: int, b: int, c: int, d: int) -> Triple:
     while True:
         if -a < b <= a:
             if a < c or (a == c and b >= 0):
-                break
+                return a, b, c
             a, b, c = c, -b, a
             continue
         # translate b into (-a, a]; c follows from the fixed discriminant
@@ -111,7 +126,11 @@ def reduce_form(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
         if b > a:
             b -= 2 * a
         c = (b * b - d) // (4 * a)
-    return BinaryQuadraticForm(a, b, c)
+
+
+def reduce_form(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
+    """The unique reduced form equivalent to f."""
+    return BinaryQuadraticForm(*_reduce(f.a, f.b, f.c, f.discriminant()))
 
 
 def _smallest_prime_factors(n: int) -> list[int]:
@@ -123,20 +142,8 @@ def _smallest_prime_factors(n: int) -> list[int]:
     return spf
 
 
-def reduced_forms(d: int) -> list[BinaryQuadraticForm]:
-    """The complete list of reduced forms of a fundamental discriminant, sorted.
-
-    A reduced form (a, b, c) has a <= sqrt(|D|/3) and -a < b <= a with
-    b^2 = D (mod 4a), and these b are one period of the square roots of D
-    modulo 4a, read as residues mod 2a.  Each a is factored with a
-    smallest-prime-factor sieve; the roots modulo its odd prime powers come
-    from `sqrt_mod` (an odd p | D gives the root 0, and only to the first
-    power, since D is fundamental), its 2-part from roots lifted bit by bit,
-    and CRT joins them.  c = (b^2 - D)/4a, and (a, b, c) is kept when it is
-    reduced.  The work grows like sqrt|D|, the count is the class number.
-    |D| above MAX_ENUMERATED_DISCRIMINANT raises BoundExceeded before any
-    enumeration.
-    """
+def _reduced_triples(d: int) -> list[Triple]:
+    """The reduced forms of a fundamental discriminant as sorted triples; see reduced_forms."""
     dv = _require_fundamental(d)
     if -dv > MAX_ENUMERATED_DISCRIMINANT:
         raise BoundExceeded(
@@ -178,13 +185,52 @@ def reduced_forms(d: int) -> list[BinaryQuadraticForm]:
             c = (b * b - dv) // (4 * a)
             if c < a or (b < 0 and a == c):
                 continue
-            out.append(BinaryQuadraticForm(a, b, c))
-    out.sort(key=lambda f: (f.a, f.b, f.c))
+            out.append((a, b, c))
+    out.sort()
     return out
 
 
+def reduced_forms(d: int) -> list[BinaryQuadraticForm]:
+    """The complete list of reduced forms of a fundamental discriminant, sorted.
+
+    A reduced form (a, b, c) has a <= sqrt(|D|/3) and -a < b <= a with
+    b^2 = D (mod 4a), and these b are one period of the square roots of D
+    modulo 4a, read as residues mod 2a.  Each a is factored with a
+    smallest-prime-factor sieve; the roots modulo its odd prime powers come
+    from `sqrt_mod` (an odd p | D gives the root 0, and only to the first
+    power, since D is fundamental), its 2-part from roots lifted bit by bit,
+    and CRT joins them.  c = (b^2 - D)/4a, and (a, b, c) is kept when it is
+    reduced.  The work grows like sqrt|D|, the count is the class number.
+    |D| above MAX_ENUMERATED_DISCRIMINANT raises BoundExceeded before any
+    enumeration.
+    """
+    return [BinaryQuadraticForm(*f) for f in _reduced_triples(d)]
+
+
 def class_number(d: int) -> int:
-    return len(reduced_forms(d))
+    return len(_reduced_triples(d))
+
+
+def _compose(f: Triple, g: Triple, d: int) -> Triple:
+    if f[0] > g[0]:
+        f, g = g, f
+    a1, b1, _ = f
+    a2, b2, c2 = g
+    s = (b1 + b2) // 2
+    n = b2 - s
+    m = gcd(a1, a2)  # Cohen's d; y1*a2 = m (mod a1) and x2*s - y2*m = d1 = gcd(s, m)
+    y1 = pow(a2 // m, -1, a1 // m)
+    d1 = gcd(s, m)
+    x2 = pow(s // d1, -1, m // d1)
+    y2 = (x2 * s - d1) // m
+    v1, v2 = a1 // d1, a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    a = v1 * v2
+    b = b2 + 2 * r * v2
+    c, rem = divmod(b * b - d, 4 * a)
+    if rem:
+        raise ArithmeticError("Shanks composition left the discriminant")
+    return _reduce(a, b, c, d)
 
 
 def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticForm:
@@ -199,38 +245,25 @@ def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticFo
         raise DiscriminantMismatch(
             f"cannot compose forms of discriminants {d} and {g.discriminant()}"
         )
-    if f.a > g.a:
-        f, g = g, f
-    a1, a2 = f.a, g.a
-    s = (f.b + g.b) // 2
-    n = g.b - s
-    m = gcd(a1, a2)  # Cohen's d; y1*a2 = m (mod a1) and x2*s - y2*m = d1 = gcd(s, m)
-    y1 = pow(a2 // m, -1, a1 // m)
-    d1 = gcd(s, m)
-    x2 = pow(s // d1, -1, m // d1)
-    y2 = (x2 * s - d1) // m
-    v1, v2 = a1 // d1, a2 // d1
-    r = (y1 * y2 * n - x2 * g.c) % v1
-    a = v1 * v2
-    b = g.b + 2 * r * v2
-    c, rem = divmod(b * b - d, 4 * a)
-    if rem:
-        raise ArithmeticError("Shanks composition left the discriminant")
-    return reduce_form(BinaryQuadraticForm(a, b, c))
+    return BinaryQuadraticForm(*_compose((f.a, f.b, f.c), (g.a, g.b, g.c), d))
+
+
+def _power(f: Triple, k: int, d: int) -> Triple:
+    result = _principal(d)
+    base = _reduce(*f, d)
+    while k:
+        if k & 1:
+            result = _compose(result, base, d)
+        base = _compose(base, base, d)
+        k >>= 1
+    return result
 
 
 def form_power(f: BinaryQuadraticForm, k: int) -> BinaryQuadraticForm:
     """k-th power of a class (k >= 0), square and multiply."""
     if k < 0:
         raise ValueError("negative powers not needed; compose with the inverse instead")
-    result = principal_form(f.discriminant())
-    base = reduce_form(f)
-    while k:
-        if k & 1:
-            result = compose(result, base)
-        base = compose(base, base)
-        k >>= 1
-    return result
+    return BinaryQuadraticForm(*_power((f.a, f.b, f.c), k, f.discriminant()))
 
 
 # ---------------------------------------------------------------------------
@@ -238,28 +271,36 @@ def form_power(f: BinaryQuadraticForm, k: int) -> BinaryQuadraticForm:
 
 
 class ClassGroup(_Record):
-    """The form class group of a fundamental discriminant."""
+    """The form class group of a fundamental discriminant.
 
-    __slots__ = ("discriminant", "representatives", "structure")
+    `forms` holds the reduced forms as sorted (a, b, c) triples;
+    `representatives` builds them as BinaryQuadraticForm objects on access.
+    """
+
+    __slots__ = ("discriminant", "forms", "structure")
 
     def __init__(
         self,
         discriminant: int,
-        representatives: tuple[BinaryQuadraticForm, ...],
+        forms: tuple[Triple, ...],
         structure: FiniteAbelianGroup,
     ) -> None:
-        self._init(discriminant, representatives, structure)
+        self._init(discriminant, forms, structure)
+
+    @property
+    def representatives(self) -> tuple[BinaryQuadraticForm, ...]:
+        return tuple([BinaryQuadraticForm(*f) for f in self.forms])
 
     @property
     def order(self) -> int:
-        return len(self.representatives)
+        return len(self.forms)
 
     @property
     def principal(self) -> BinaryQuadraticForm:
         return principal_form(self.discriminant)
 
     def __str__(self) -> str:
-        reps = ", ".join(str(f) for f in self.representatives)
+        reps = ", ".join(map(format_form, self.forms))
         return f"{self.structure} [{reps}]"
 
 
@@ -267,35 +308,62 @@ def class_group(d: int) -> ClassGroup:
     """Class group of a fundamental discriminant, structure included.
 
     For each p^e exactly dividing h, f -> f^(h/p^e) maps the class group onto
-    its Sylow p-subgroup S, so the images of the forms, taken in sorted order
-    until they span p^e classes, generate S.  The p-part is read off the
+    its Sylow p-subgroup S.  For e = 1, S is Z/p: the first listed form whose
+    image g is not the identity gives the p-part, once g^p is checked to be
+    the identity.  For e >= 2, the images of the forms, taken in sorted order
+    until they span p^e classes, generate S, and the p-part is read off the
     sizes |p^k S| = |S| / |S[p^k]|, where p^k S is spanned by the p^k-th
     powers of those generators.  The listing must start with the principal
-    form, and composition is checked on the way: the span must reach exactly
-    p^e, every socle count must be a power of p, and the structure's order
-    must be h; otherwise ArithmeticError.
+    form, and composition is checked on the way: an e = 1 image must exist
+    and have order p, an e >= 2 span must reach exactly p^e, every socle
+    count must be a power of p, and the structure's order must be h;
+    otherwise ArithmeticError.
     """
-    forms = reduced_forms(d)
+    forms = tuple(_reduced_triples(d))
     h = len(forms)
-    identity = principal_form(d)
-    if forms[:1] != [identity]:
+    identity = _principal(d)
+    if forms[:1] != (identity,):
         raise ArithmeticError("the sorted reduced forms do not start with the principal form")
     primary: dict[int, list[int]] = {}
     for p, e in factorint(h).items():
+        if e == 1:
+            _check_prime_order(forms, h // p, p, identity, d)
+            primary[p] = [1]
+            continue
         q = p**e
-        sylow, gens = _span((form_power(f, h // q) for f in forms), identity, q)
+        sylow, gens = _span((_power(f, h // q, d) for f in forms), identity, q, d)
         if len(sylow) != q:
             raise ArithmeticError("Sylow span falls short of its order; composition is broken")
-        primary[p] = _p_group_exponents(gens, identity, p, e)
+        primary[p] = _p_group_exponents(gens, identity, p, e, d)
     structure = FiniteAbelianGroup._from_primary(primary)
     if structure.order != h:
         raise ArithmeticError("structure order disagrees with the class number")
-    return ClassGroup(d, tuple(forms), structure)
+    return ClassGroup(d, forms, structure)
+
+
+def _check_prime_order(
+    forms: tuple[Triple, ...], cofactor: int, p: int, identity: Triple, d: int
+) -> None:
+    """Check that the first image f^cofactor other than the identity has order p.
+
+    With h = cofactor * p and p prime to cofactor, such an image spans the
+    Sylow p-subgroup Z/p.  Raises ArithmeticError if every image is the
+    identity or the first one that is not fails g^p = identity.
+    """
+    for f in forms:
+        g = _power(f, cofactor, d)
+        if g != identity:
+            if _power(g, p, d) != identity:
+                raise ArithmeticError(
+                    f"the image g = f^(h/{p}) != 1 has g^{p} != 1; composition is broken"
+                )
+            return
+    raise ArithmeticError(f"no class of order {p} although {p} divides h; composition is broken")
 
 
 def _span(
-    gens: Iterable[BinaryQuadraticForm], identity: BinaryQuadraticForm, order: int
-) -> tuple[list[BinaryQuadraticForm], list[BinaryQuadraticForm]]:
+    gens: Iterable[Triple], identity: Triple, order: int, d: int
+) -> tuple[list[Triple], list[Triple]]:
     """The classes spanned by gens, grown coset by coset, and the gens that grew it.
 
     Stops taking gens once the span has `order` classes, and raises
@@ -306,12 +374,12 @@ def _span(
         span = elements[:]
         power = g
         while power not in members:
-            coset = [power] + [compose(power, x) for x in span[1:]]
+            coset = [power] + [_compose(power, x, d) for x in span[1:]]
             elements += coset
             members.update(coset)
             if len(elements) > order:
                 raise ArithmeticError("span outgrows its group order; composition is broken")
-            power = compose(power, g)
+            power = _compose(power, g, d)
         if len(elements) > len(span):
             used.append(g)
         if len(elements) == order:
@@ -320,15 +388,15 @@ def _span(
 
 
 def _p_group_exponents(
-    gens: list[BinaryQuadraticForm], identity: BinaryQuadraticForm, p: int, e: int
+    gens: list[Triple], identity: Triple, p: int, e: int, d: int
 ) -> list[int]:
     """Cyclic exponents, ascending, of the p-group S of order p^e that gens span."""
     # logs[k] = log_p |p^k S|; the factors with exponent > k number logs[k] - logs[k+1]
     logs = [e]
     while logs[-1]:
-        gens = [form_power(g, p) for g in gens]
+        gens = [_power(g, p, d) for g in gens]
         # p^k S is a proper subgroup of p^(k-1) S, so at most p^(logs[-1] - 1) classes
-        layer, gens = _span(gens, identity, p ** (logs[-1] - 1))
+        layer, gens = _span(gens, identity, p ** (logs[-1] - 1), d)
         log = 0
         while p**log < len(layer):
             log += 1

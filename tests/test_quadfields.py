@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import itertools
 import random
 from math import gcd, isqrt
@@ -9,7 +12,7 @@ from math import gcd, isqrt
 import pytest
 from sympy import primefactors
 
-from galab import quadfields
+from galab import cli, quadfields
 from galab.arith import factorint
 from galab.errors import BoundExceeded, DiscriminantMismatch, NotFundamental
 from galab.finabelian import FiniteAbelianGroup
@@ -85,7 +88,8 @@ def counting_class_group(d: int) -> ClassGroup:
         for k in range(1, e_top + 1):
             exps.extend([k] * (at_least[k - 1] - at_least[k]))
         primary[p] = exps
-    return ClassGroup(d, tuple(forms), FiniteAbelianGroup._from_primary(primary))
+    triples = tuple((f.a, f.b, f.c) for f in forms)
+    return ClassGroup(d, triples, FiniteAbelianGroup._from_primary(primary))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -147,6 +151,18 @@ LARGE_PANEL = {
 }
 
 
+# sha256 of `galab classgroup --disc D --json` stdout, recorded before the
+# class group moved to (a, b, c) triples
+CLASSGROUP_JSON_SHA256 = {
+    -44747787: "96abb86d3da30d44109dbfa436a05434989c6d0aa234c4da6deb1f659283f6ef",
+    -48042147: "985a7f0d20dee559b136315277abb70ad53e23c600cc46a98c77ed2e1261445b",
+    -82360599: "df36696749e16e3f73aee3bd02c54ff4b18806b0b39ecaf5860f1df111e03ddb",
+    -15584008: "92a813d770a8dfc3e6440118510a44bae2d0c36be77891c57e3c9c2687f6574c",
+    -22747620: "8acf3539cf5e3aeb8701dbf378d8d62c16cf0e42989143306db4ea88878665e0",
+    -10471831: "33de15a6171139d2f41750f80bd165ec61d32de8fa6709b8073a1ee5834e1c1b",
+}
+
+
 # -- discriminants ------------------------------------------------------------
 
 
@@ -191,10 +207,24 @@ def test_class_group_checks_discriminant_once(monkeypatch):
 
 def test_class_group_refuses_a_listing_without_the_principal_form(monkeypatch):
     # a raise, not an assert, so the check survives python -O
-    listing = quadfields.reduced_forms
-    monkeypatch.setattr(quadfields, "reduced_forms", lambda d: [f for f in listing(d) if f.a != 1])
+    listing = quadfields._reduced_triples
+    monkeypatch.setattr(quadfields, "_reduced_triples", lambda d: [f for f in listing(d) if f[0] != 1])
     with pytest.raises(ArithmeticError, match="principal form"):
         class_group(-23)
+
+
+def test_principal_form_refuses_non_discriminants():
+    assert principal_form(-4) == BQF(1, 0, 1) and principal_form(-3) == BQF(1, 1, 1)
+    assert principal_form(-12) == BQF(1, 0, 3)  # any D = 0, 1 mod 4, fundamental or not
+    for d in (-5, -6, -2, -1, -22, -23 * 4 - 1):
+        with pytest.raises(ValueError, match="0 or 1 mod 4"):
+            principal_form(d)
+
+
+def test_forms_must_be_positive_definite():
+    for a, b, c in ((0, 1, 1), (-1, 1, -6), (1, 3, 1), (1, 2, 1), (1, 0, 0)):
+        with pytest.raises(ValueError, match="positive definite"):
+            BQF(a, b, c)
 
 
 def test_fundamental_discriminants_listing():
@@ -268,6 +298,14 @@ def test_large_panel_forms_and_structure(d):
     assert cg.structure.order == cg.order
 
 
+@pytest.mark.parametrize("d", sorted(LARGE_PANEL))
+def test_large_panel_classgroup_json_is_pinned(d):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["classgroup", "--disc", str(d), "--json"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CLASSGROUP_JSON_SHA256[d]
+
+
 def test_reduction_soundness():
     for d in (-23, -47, -71):
         for f in reduced_forms(d):
@@ -309,6 +347,12 @@ def test_inverse_pairs_compose_to_identity():
 
 def test_order_two_class_squares_to_identity():
     assert compose(BQF(3, 1, 3), BQF(3, 1, 3)) == BQF(1, 1, 9)
+
+
+def test_composition_refuses_a_product_off_the_discriminant():
+    # (2,1,3) has discriminant -23; at -24, b^2 - D is not divisible by 4a
+    with pytest.raises(ArithmeticError, match="left the discriminant"):
+        quadfields._compose((2, 1, 3), (2, 1, 3), -24)
 
 
 def test_discriminant_mismatch():
@@ -445,14 +489,14 @@ def test_genus_theory_two_rank_of_structure():
 
 def _count_compose_calls(monkeypatch, d: int) -> tuple[int, int]:
     calls = 0
-    compose_ = quadfields.compose
+    compose_ = quadfields._compose
 
-    def counted(f, g):
+    def counted(f, g, d):
         nonlocal calls
         calls += 1
-        return compose_(f, g)
+        return compose_(f, g, d)
 
-    monkeypatch.setattr(quadfields, "compose", counted)
+    monkeypatch.setattr(quadfields, "_compose", counted)
     return class_group(d).order, calls
 
 
@@ -462,6 +506,79 @@ def test_class_group_compose_work(monkeypatch):
     assert h == 200 and calls <= 2 * h
     h, calls = _count_compose_calls(monkeypatch, -22747620)
     assert h == 1664 and calls <= h
+    # h = 4 * 2609: the Sylow 2609-subgroup is read from one power, not spanned class by class
+    h, calls = _count_compose_calls(monkeypatch, -82360599)
+    assert h == 10436 and calls <= 200
+
+
+_RIGHT_COMPOSE = quadfields._compose
+
+
+def _wrong_identity(f, g, d):
+    return quadfields._principal(d)
+
+
+def _wrong_second(f, g, d):
+    return quadfields._reduce(*g, d)
+
+
+def _wrong_inverse(f, g, d):
+    a, b, c = _RIGHT_COMPOSE(f, g, d)
+    return quadfields._reduce(a, -b, c, d)
+
+
+@pytest.mark.parametrize("wrong, d, message", [
+    # p exactly divides h: the first image f^(h/p) other than 1 must exist and have order p
+    (_wrong_identity, -23, "no class of order 3"),
+    (_wrong_identity, -47, "no class of order 5"),
+    (_wrong_second, -23, "has g\\^3 != 1"),
+    (_wrong_second, -47, "has g\\^5 != 1"),
+    # p^e with e >= 2 divides h: the span and the socle counts
+    (_wrong_identity, -56, "span falls short"),
+    (_wrong_second, -84, "span outgrows"),
+    (_wrong_inverse, -3299, "socle count"),
+], ids=[
+    "h3-no-image", "h5-no-image", "h3-image-order", "h5-image-order",
+    "h4-span-short", "h4-span-outgrows", "h27-socle",
+])
+def test_class_group_detects_a_broken_composition(monkeypatch, wrong, d, message):
+    assert class_group(d).order > 1
+    monkeypatch.setattr(quadfields, "_compose", wrong)
+    with pytest.raises(ArithmeticError, match=message):
+        class_group(d)
+
+
+def test_class_group_checks_the_structure_order(monkeypatch):
+    assert class_group(-84).structure == G(2, 2)
+    monkeypatch.setattr(quadfields, "_p_group_exponents", lambda *args: [1])
+    with pytest.raises(ArithmeticError, match="structure order"):
+        class_group(-84)
+
+
+def _cyclic_span(g: BinaryQuadraticForm, identity: BinaryQuadraticForm) -> set[BinaryQuadraticForm]:
+    span, power = {identity}, g
+    while power not in span:
+        span.add(power)
+        power = compose(power, g)
+    return span
+
+
+def test_prime_order_sylow_matches_its_span():
+    # oracle for the one-power path: for p exactly dividing h, the images
+    # f^(h/p) span exactly p classes under the public compose
+    checked = 0
+    for d in fundamental_discriminants(5000):
+        forms = reduced_forms(d)
+        h, identity = len(forms), principal_form(d)
+        for p, e in factorint(h).items():
+            if e > 1:
+                continue
+            images = {form_power(f, h // p) for f in forms}
+            g = next(x for x in images if x != identity)
+            span = _cyclic_span(g, identity)
+            assert len(span) == p and images == span, (d, p)
+            checked += 1
+    assert checked > 1000
 
 
 def test_paper_golden_class_numbers():

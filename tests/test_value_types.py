@@ -46,7 +46,7 @@ CASE = UniquenessCase((1, 2), ((0, 3),), 0, (G(2, 8),), G(2, 8), True)
 EXAMPLES = [
     (GroupElement, dict(group=G(2, 4), coords=(3, 1))),
     (BinaryQuadraticForm, dict(a=2, b=1, c=3)),
-    (ClassGroup, dict(discriminant=-23, representatives=(FORM,), structure=G(3))),
+    (ClassGroup, dict(discriminant=-23, forms=((1, 1, 6),), structure=G(3))),
     (LocalFactors, dict(prime=3, free_rank=1, cyclic=((1, 2),), full_tower=False)),
     (ProfiniteDescriptor, dict(free_rank=1, local_factors=(LOCAL,), all_primes_tower=False)),
     (DiscreteTorsionDescriptor, dict(free_rank=1, local_factors=(LOCAL,), all_primes_tower=False)),
