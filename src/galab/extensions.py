@@ -5,14 +5,14 @@ a growing sum of cyclic l-groups by a fixed finite l-group A, where A must
 consist of the divisible elements of B.  Infinitely many cyclic summands
 cannot be enumerated, so the divisibility condition is replaced by the
 parametric constraint "A sits inside l^m B"; the largest m at which any
-candidate survives is the saturation level.  Enumeration is exhaustive over
-all abelian l-groups of the forced order, so at this scale the reports are
-ground truth rather than heuristics.  Whether a candidate B survives, and up
-to which level, is decided in closed form from the types of B, A and the
-quotient sum (Green's theorem on Hall polynomials); a subgroup search runs
-only for the classes a report returns, to find the canonical witness copy of
-A.  A uniqueness sweep reads its counts from the levels and searches only the
-survivors at saturation.
+candidate survives is the saturation level.  Whether an abelian l-group B of
+the forced order survives, and up to which level, is decided in closed form
+from the types of B, A and the quotient sum (Green's theorem on Hall
+polynomials), so the reports are exact.  Only the types that contain the
+quotient sum's are visited; every other B fails at level 0.  A subgroup
+search runs only for the classes a report returns, to find the canonical
+witness copy of A.  A uniqueness sweep reads its counts from the levels and
+searches only the survivors at saturation.
 """
 
 from __future__ import annotations
@@ -193,6 +193,12 @@ def _lr_nonzero(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) 
     return place(0)
 
 
+def _holds_at(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...], m: int) -> bool:
+    """Condition (ii) of `_survival_level` at level m: c^{(lam-m)+}_{(nu-m)+,mu} != 0."""
+    lam_m, nu_m = (tuple(x - m for x in p if x > m) for p in (lam, nu))
+    return _lr_nonzero(lam_m, nu_m, mu)
+
+
 def _survival_level(
     lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]
 ) -> int | None:
@@ -208,40 +214,62 @@ def _survival_level(
     Symmetric Functions and Hall Polynomials, II.4).  A copy inside l^m B
     lies in every l^k B with k < m, so the scan stops at the first failure.
     Given (i) at m - 1, the sizes in (ii) force (i) at m: both say that lam
-    and nu have equally many parts >= m.  So the scan tests (ii) alone.
+    and nu have equally many parts >= m.  So the scan tests (ii) alone, and
+    evaluates it as c^{(lam-m)+}_{(nu-m)+,mu}, equal by the symmetry of LR
+    coefficients: the tableau search then fills (lam-m)+ / (nu-m)+, which
+    has |mu| cells, where lam/mu would have |nu|.
     """
     level = None
     for m in range((lam[0] if lam else 0) + 1):
-        lam_m, nu_m = (tuple(x - m for x in p if x > m) for p in (lam, nu))
-        if not _lr_nonzero(lam_m, mu, nu_m):
+        if not _holds_at(lam, mu, nu, m):
             break
         level = m
     return level
 
 
-def _survival_levels(spec: TruncationSpec) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(type, level) of each l-group of the spec's order that survives at some level.
+def _candidates(
+    spec: TruncationSpec,
+) -> tuple[tuple[int, ...], tuple[int, ...], Iterator[tuple[int, ...]]]:
+    """The types mu of the sub and nu of the quotient sum, and the types lam to scan.
 
-    A type lam survives at all only if c^lam_{mu,nu} != 0, which needs
-    lam_1 <= mu_1 + nu_1, len(lam) <= len(mu) + len(nu) and nu inside lam;
-    the scan visits no other lam.
+    A type lam survives at all only if c^lam_{mu,nu} != 0, which needs nu
+    inside lam, lam_1 <= mu_1 + nu_1 and len(lam) <= len(mu) + len(nu).
+    The partitions are listed from nu up, so no other lam is visited but
+    those too long, which the length test drops.
     """
     mu = spec.sub.exponents_at(spec.prime)
     nu = spec.quotient_exponents[::-1]
     top = (mu[0] if mu else 0) + (nu[0] if nu else 0)
-    for part in partitions_desc(sum(mu) + sum(nu), top):
-        if len(nu) > len(part) or len(part) > len(mu) + len(nu):
-            continue
-        if any(a < b for a, b in zip(part, nu)):
-            continue
+    parts = partitions_desc(sum(mu) + sum(nu), top, nu)
+    return mu, nu, (p for p in parts if len(p) <= len(mu) + len(nu))
+
+
+def _survival_levels(spec: TruncationSpec) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(type, level) of each l-group of the spec's order that survives at some level."""
+    mu, nu, parts = _candidates(spec)
+    for part in parts:
         level = _survival_level(part, mu, nu)
         if level is not None:
             yield part, level
 
 
 def _saturation(spec: TruncationSpec) -> int:
-    """Largest level at which some l-group survives (-1 if none ever does)."""
-    return max((level for _, level in _survival_levels(spec)), default=-1)
+    """Largest level at which some l-group survives (-1 if none ever does).
+
+    The candidates of `_survival_levels`, pruned by the best level found so
+    far: a type that survives at some level above best passes (ii) at
+    best + 1, since the scan of `_survival_level` went through it.  So one
+    tableau search at best + 1 drops every other type, and only the rest get
+    a full scan.
+    """
+    mu, nu, parts = _candidates(spec)
+    best = -1
+    for part in parts:
+        if _holds_at(part, mu, nu, best + 1):
+            level = _survival_level(part, mu, nu)
+            if level is not None and level > best:
+                best = level
+    return best
 
 
 def _witness(b: FiniteAbelianGroup, spec: TruncationSpec, level: int) -> tuple[GroupElement, ...]:
@@ -303,8 +331,8 @@ def enumerate_extensions(
 ) -> ExtensionReport:
     """Exhaustively classify the extensions admitted by a truncation spec.
 
-    Every abelian l-group of the forced order is tested; a candidate B
-    survives at level m when some subgroup S isomorphic to the sub lies in
+    Every abelian l-group of the forced order is decided, most of them by
+    the candidate listing alone; a candidate B survives at level m when some subgroup S isomorphic to the sub lies in
     l^m B with B/S isomorphic to the cyclic sum.  `level_counts` holds the
     number of survivors at every level up to saturation, read off the
     closed-form levels; `classes` the survivors at the spec's own div_level,
@@ -312,23 +340,18 @@ def enumerate_extensions(
     """
     _check_bound(spec, bound)
     c_group = spec.quotient_group
-    survivors = sorted(
-        (
-            (FiniteAbelianGroup.from_prime_exponents(spec.prime, part), level)
-            for part, level in _survival_levels(spec)
-        ),
-        key=lambda t: t[0].sort_key(),
-    )
+    # equal order and prime: ascending types sort as the groups' sort_key does
+    survivors = sorted(_survival_levels(spec))
     top = max((level for _, level in survivors), default=-1)
     counts = tuple(
         (m, sum(1 for _, level in survivors if level >= m)) for m in range(top + 1)
     )
-    classes = tuple(
-        SurvivorClass(b, _witness(b, spec, level), c_group, level)
-        for b, level in survivors
-        if level >= spec.div_level
-    )
-    return ExtensionReport(spec, classes, counts)
+    classes = []
+    for part, level in survivors:
+        if level >= spec.div_level:
+            b = FiniteAbelianGroup.from_prime_exponents(spec.prime, part)
+            classes.append(SurvivorClass(b, _witness(b, spec, level), c_group, level))
+    return ExtensionReport(spec, tuple(classes), counts)
 
 
 # ---------------------------------------------------------------------------

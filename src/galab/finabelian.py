@@ -549,14 +549,22 @@ def quotient(
 # Enumeration and embedding helpers
 
 
-def partitions_desc(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of n as descending tuples, in descending-lex order."""
+def partitions_desc(
+    n: int, max_part: int | None = None, inside: tuple[int, ...] = ()
+) -> Iterator[tuple[int, ...]]:
+    """All partitions of n as descending tuples, in descending-lex order.
+
+    With `inside`, a partition, only those lam containing it (lam_i >=
+    inside_i for every i) are yielded, in the same order: each part starts at
+    its floor, and stops low enough to leave room for the rest of `inside`.
+    """
     if n == 0:
-        yield ()
+        if not inside:
+            yield ()
         return
-    top = n if max_part is None else min(n, max_part)
-    for first in range(top, 0, -1):
-        for rest in partitions_desc(n - first, first):
+    top = min(n - sum(inside[1:]), n if max_part is None else max_part)
+    for first in range(top, (inside[0] if inside else 1) - 1, -1):
+        for rest in partitions_desc(n - first, first, inside[1:]):
             yield (first,) + rest
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -288,6 +289,25 @@ def test_verify_uniqueness_bound(capsys):
     )
     assert code == 4
     assert "bound" in err
+
+
+@pytest.mark.parametrize(
+    "sub, exponents, digest",
+    [
+        ("2,2,2", "1,2,3,4,5,6,7", "038f941b5d2f855c41a80694fe25398b09b856ca5420b1a2ecf3acc404f46bf8"),
+        ("2,2", "1,2,3,4,5,6,7,8", "185b8354e2644083a736e161ce485c1df280b7bad3caf0197f7b3b9c4d323339"),
+        ("2,4,8", "1,2,3,4,5,6,7", "a368795466db1b677e07968f04e2b587dbd78a79e6a0f2e4caae46eea30ca437"),
+    ],
+)
+def test_verify_uniqueness_reach_documents_are_pinned(capsys, sub, exponents, digest):
+    # |B| = 2^31, 2^38 and 2^34, past the pinned grids; the digests of the stdout
+    # of the scan that listed every partition of the order
+    code, out, _ = run(
+        capsys, "verify-uniqueness", "--json", "--prime", "2", "--sub", sub,
+        "--exponents", exponents, "--bound", str(2 ** 40),
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("prime, exponents", [("2", "15000"), ("3", "12000000")])

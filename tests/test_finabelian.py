@@ -554,6 +554,27 @@ def test_partitions():
     assert list(partitions_desc(0)) == [()]
 
 
+def test_partitions_inside_a_floor():
+    # the floored listing against the full one filtered by containment, order included
+    checked = 0
+    for n in range(13):
+        for max_part in [None, *range(1, n + 1)]:
+            full = list(partitions_desc(n, max_part))
+            for inside in (p for size in range(n + 1) for p in partitions_desc(size)):
+                want = [
+                    p for p in full
+                    if len(p) >= len(inside) and all(a >= b for a, b in zip(p, inside))
+                ]
+                assert list(partitions_desc(n, max_part, inside)) == want, (n, max_part, inside)
+                checked += 1
+    assert checked == 9767
+    # a floor larger than n, or wider than max_part, leaves nothing
+    assert list(partitions_desc(3, None, (2, 2))) == []
+    assert list(partitions_desc(4, None, (1, 1, 1, 1, 1))) == []
+    assert list(partitions_desc(6, 2, (3,))) == []
+    assert list(partitions_desc(6, 3, (3, 2))) == [(3, 3), (3, 2, 1)]
+
+
 def test_abelian_groups_of_order():
     assert len(abelian_groups_of_order(16)) == 5
     assert len(abelian_groups_of_order(64)) == 11
