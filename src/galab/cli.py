@@ -1,20 +1,22 @@
-"""Command-line surface: classification, class groups, duality and experiments.
+"""Command-line surface of galab; `_DESCRIPTION` is the text `galab --help` shows.
 
-Exit codes: 0 success, 1 usage error, 2 domain error (bad discriminant,
-excluded field, malformed file, ...), 3 unresolvable split data, 4 search
-bound exceeded.  With --json every subcommand prints one canonical JSON
-document (sorted keys, fixed separators), so identical invocations produce
-byte-identical output.
+`_COMMANDS` is the single declaration of the command line: each subcommand's
+handler, help and options.  Two readers share it.  `_scan` matches a
+well-formed argv token by token and returns what argparse would, so most calls
+never import argparse.  `build_parser` builds the argparse tree, which renders
+every --help and gives every usage error; `main` falls back to it for any argv
+the scan does not match exactly.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from .classifier import (
@@ -39,14 +41,22 @@ from .extensions import DEFAULT_ENUMERATION_BOUND, verify_uniqueness
 from .finabelian import FiniteAbelianGroup, group_literal, parse_group_literal
 from .quadfields import class_group, format_form
 
+_DESCRIPTION = """Command-line surface: classification, class groups, duality and experiments.
+
+Exit codes: 0 success, 1 usage error, 2 domain error (bad discriminant,
+excluded field, malformed file, ...), 3 unresolvable split data, 4 search
+bound exceeded.  With --json every subcommand prints one canonical JSON
+document (sorted keys, fixed separators), so identical invocations produce
+byte-identical output.
+"""
+
 
 class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
+class _HelpShown(Exception):
+    """argparse has printed a help text (-h/--help)."""
 
 
 def _parse_group(text: str) -> FiniteAbelianGroup:
@@ -121,7 +131,7 @@ def _read_discriminants(path: str) -> list[int]:
     return out
 
 
-def _split_table_from_args(args: argparse.Namespace) -> SplitTable:
+def _split_table_from_args(args) -> SplitTable:
     return load_split_table(args.split_table) if args.split_table else SplitTable()
 
 
@@ -306,76 +316,146 @@ def _cmd_ffcompare(args) -> tuple[dict, list[str], int]:
 
 
 # ---------------------------------------------------------------------------
+# The command line.  Each option is (flag, argparse keyword arguments); its
+# dest is argparse's, the flag without "--" and with "-" read as "_".  Every
+# subcommand takes --json first.
+
+_JSON = ("--json", {"action": "store_true", "help": "machine-readable output"})
+_SPLIT_TABLE = ("--split-table", {"help": "path to a split-table file"})
+_DESCRIPTOR_INPUT = ("--input", {"required": True, "help": "descriptor JSON file"})
+
+_COMMANDS: dict[str, tuple[Callable, str, tuple]] = {
+    "classgroup": (_cmd_classgroup, "class number and structure of a discriminant", (
+        ("--disc", {"type": int, "required": True}),
+    )),
+    "classify": (_cmd_classify, "Galois abelian type of one field", (
+        ("--disc", {"type": int, "required": True}),
+        ("--split", {"help": "inline split group literal for this discriminant"}),
+        _SPLIT_TABLE,
+    )),
+    "compare": (_cmd_compare, "compare the types of two or more fields", (
+        ("--disc", {"type": int, "action": "append", "required": True}),
+        _SPLIT_TABLE,
+    )),
+    "batch": (_cmd_batch, "partition a file of discriminants by type", (
+        ("--input", {"required": True, "help": "file with one discriminant per line"}),
+        _SPLIT_TABLE,
+    )),
+    "verify-uniqueness": (_cmd_verify_uniqueness, "extension uniqueness sweep", (
+        ("--prime", {"type": int, "required": True}),
+        ("--sub", {"default": "1", "help": "sub group literal (default trivial)"}),
+        ("--exponents", {
+            "action": "append", "required": True,
+            "help": "comma-separated quotient exponents; repeatable",
+        }),
+        ("--bound", {"type": int, "default": DEFAULT_ENUMERATION_BOUND}),
+    )),
+    "dual": (_cmd_dual, "Pontryagin dual of a descriptor document", (
+        _DESCRIPTOR_INPUT,
+    )),
+    "truncate": (_cmd_truncate, "finite model of a descriptor at one prime", (
+        _DESCRIPTOR_INPUT,
+        ("--prime", {"type": int, "required": True}),
+        ("--max-exp", {"type": int, "required": True}),
+        ("--cap", {"type": int, "required": True}),
+        ("--free-level", {"type": int, "required": True}),
+    )),
+    "fftype": (_cmd_fftype, "invariant triple of a global function field", (
+        ("--prime", {"type": int, "required": True, "help": "characteristic p"}),
+        ("--n", {"type": int, "required": True, "help": "constant field exponent, q = p^n"}),
+        ("--class0", {"default": "1", "help": "degree-zero class group literal"}),
+    )),
+    "ffcompare": (_cmd_ffcompare, "compare function fields given as p:n:class0", (
+        ("--field", {"action": "append", "required": True}),
+    )),
+}
+
+# argparse reads a token that starts with "-" as a value only when it matches this
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="galab", description=__doc__, allow_abbrev=False)
+def _scan(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What `build_parser().parse_args(argv)` returns for a well-formed argv, else None.
+
+    Accepts a subcommand, then its options spelt exactly as declared, each
+    value-taking one followed by a value that converts and that argparse does
+    not read as an option.  Anything else (help, "--", "--flag=value", an
+    unknown or abbreviated flag, a missing or bad value, a missing required
+    option) is left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, options = _COMMANDS[argv[0]]
+    specs = dict((_JSON, *options))
+    found = {
+        flag: spec.get("default", False if spec.get("action") == "store_true" else None)
+        for flag, spec in specs.items()
+    }
+    seen = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = specs.get(flag)
+        if spec is None:
+            return None
+        seen.add(flag)
+        action = spec.get("action")
+        if action == "store_true":
+            found[flag] = True
+            continue
+        text = next(tokens, None)
+        if text is None or (text.startswith("-") and not _NEGATIVE_NUMBER.match(text)):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        found[flag] = [*(found[flag] or ()), value] if action == "append" else value
+    if any(spec.get("required") and flag not in seen for flag, spec in specs.items()):
+        return None
+    dests = {flag[2:].replace("-", "_"): value for flag, value in found.items()}
+    return SimpleNamespace(subcommand=argv[0], handler=handler, **dests)
+
+
+def build_parser():
+    """The argparse tree of `_COMMANDS`: it renders every --help and every usage error."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # type: ignore[override]
+            raise UsageError(message)
+
+        def exit(self, status: int = 0, message: str | None = None) -> None:  # type: ignore[override]
+            # reached only from -h/--help: error() above takes every refusal
+            raise _HelpShown
+
+    parser = Parser(prog="galab", description=_DESCRIPTION, allow_abbrev=False)
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-
-    def add(name: str, handler: Callable, help_: str) -> _Parser:
+    for name, (handler, help_, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.set_defaults(handler=handler)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
-
-    p = add("classgroup", _cmd_classgroup, "class number and structure of a discriminant")
-    p.add_argument("--disc", type=int, required=True)
-
-    p = add("classify", _cmd_classify, "Galois abelian type of one field")
-    p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--split", help="inline split group literal for this discriminant")
-    p.add_argument("--split-table", help="path to a split-table file")
-
-    p = add("compare", _cmd_compare, "compare the types of two or more fields")
-    p.add_argument("--disc", type=int, action="append", default=[], required=True)
-    p.add_argument("--split-table", help="path to a split-table file")
-
-    p = add("batch", _cmd_batch, "partition a file of discriminants by type")
-    p.add_argument("--input", required=True, help="file with one discriminant per line")
-    p.add_argument("--split-table", help="path to a split-table file")
-
-    p = add("verify-uniqueness", _cmd_verify_uniqueness, "extension uniqueness sweep")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--sub", default="1", help="sub group literal (default trivial)")
-    p.add_argument(
-        "--exponents", action="append", required=True,
-        help="comma-separated quotient exponents; repeatable",
-    )
-    p.add_argument("--bound", type=int, default=DEFAULT_ENUMERATION_BOUND)
-
-    p = add("dual", _cmd_dual, "Pontryagin dual of a descriptor document")
-    p.add_argument("--input", required=True, help="descriptor JSON file")
-
-    p = add("truncate", _cmd_truncate, "finite model of a descriptor at one prime")
-    p.add_argument("--input", required=True, help="descriptor JSON file")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--max-exp", type=int, required=True)
-    p.add_argument("--cap", type=int, required=True)
-    p.add_argument("--free-level", type=int, required=True)
-
-    p = add("fftype", _cmd_fftype, "invariant triple of a global function field")
-    p.add_argument("--prime", type=int, required=True, help="characteristic p")
-    p.add_argument("--n", type=int, required=True, help="constant field exponent, q = p^n")
-    p.add_argument("--class0", default="1", help="degree-zero class group literal")
-
-    p = add("ffcompare", _cmd_ffcompare, "compare function fields given as p:n:class0")
-    p.add_argument("--field", action="append", default=[], required=True)
-
+        for flag, spec in (_JSON, *options):
+            p.add_argument(flag, **spec)
     return parser
 
 
 @lru_cache(maxsize=None)
-def _parser() -> _Parser:
-    """The parser, built by the first main() call and reused by later ones."""
+def _parser():
+    """The parser, built by the first main() call that needs it and reused by later ones."""
     return build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _parser().parse_args(argv)
+        args = _scan(argv)
+        if args is None:
+            args = _parser().parse_args(argv)
         if not getattr(args, "subcommand", None):
             raise UsageError("a subcommand is required")
         payload, human, code = args.handler(args)
+    except _HelpShown:
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

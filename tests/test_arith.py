@@ -144,12 +144,11 @@ def test_small_primes_are_sieved():
 
 
 def test_package_import_does_not_load_sympy():
-    # nor dataclasses and inspect, whose import and code generation cost each CLI call
+    # nor dataclasses and inspect, whose import and code generation cost each CLI call,
+    # nor argparse and its gettext, which only --help and usage errors need
     src = Path(galab.__file__).resolve().parents[1]
-    probe = (
-        "import sys, galab, galab.cli; "
-        "print(sorted(m for m in ('sympy', 'dataclasses', 'inspect') if m in sys.modules))"
-    )
+    names = ("sympy", "dataclasses", "inspect", "argparse", "gettext")
+    probe = f"import sys, galab, galab.cli; print(sorted(m for m in {names!r} if m in sys.modules))"
     result = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, check=True, timeout=60,

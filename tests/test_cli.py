@@ -333,8 +333,8 @@ def test_verify_uniqueness_bound_must_be_positive(capsys):
 
 
 def test_main_reuses_one_parser(capsys, monkeypatch):
-    # a fresh parser's output first; later calls share one parser, a failed parse
-    # leaves nothing behind, and the append default does not accumulate
+    # a well-formed argv never builds the parser; the first refusal builds it,
+    # later ones reuse it, and a failed parse leaves nothing behind
     argv = ("compare", "--disc", "-35", "--disc", "-51", "--json")
     built = []
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
@@ -342,10 +342,47 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
     fresh = run(capsys, *argv)
     assert fresh[0] == 0 and json.loads(fresh[1])["discriminants"] == [-35, -51]
     assert run(capsys, *argv) == fresh
-    code, out, err = run(capsys, "compare", "--disc", "-35", "--disc", "x")
-    assert (code, out) == (1, "") and err.startswith("usage error:")
+    assert built == []
+    for _ in range(2):
+        code, out, err = run(capsys, "compare", "--disc", "-35", "--disc", "x")
+        assert (code, out) == (1, "") and err.startswith("usage error:")
     assert run(capsys, *argv) == fresh
     assert len(built) == 1
+
+
+def test_well_formed_calls_import_no_argparse(tmp_path):
+    # one well-formed call of each subcommand in a fresh process: argparse is
+    # never imported, nor locale, which argparse's gettext loads on first use
+    batch = tmp_path / "ten.txt"
+    batch.write_text("\n".join(str(d) for d in TEN) + "\n")
+    tower = tmp_path / "tower.json"
+    tower.write_text(descriptor_to_text(prime_tower_descriptor(2)))
+    calls = [
+        ["classgroup", "--disc", "-23"],
+        ["classify", "--disc", "-35", "--json"],
+        ["compare", "--disc", "-35", "--disc", "-51"],
+        ["batch", "--input", str(batch)],
+        ["verify-uniqueness", "--prime", "2", "--sub", "2", "--exponents", "1,2"],
+        ["dual", "--input", str(tower)],
+        ["truncate", "--input", str(tower), "--prime", "2", "--max-exp", "2", "--cap", "1",
+         "--free-level", "0"],
+        ["fftype", "--prime", "2", "--n", "12", "--class0", "4,3"],
+        ["ffcompare", "--field", "2:12:4,3", "--field", "2:3:3"],
+    ]
+    probe = (
+        "import contextlib, io, sys; from galab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {calls!r}]\n"
+        "print(codes, sorted(m for m in ('argparse', 'locale') if m in sys.modules))"
+    )
+    src = Path(galab.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.stdout.strip() == f"{[0] * 9} []"
+    assert [argv[0] for argv in calls] == list(cli._COMMANDS)
 
 
 def test_dual_and_truncate_cli(capsys, tmp_path):
@@ -541,6 +578,54 @@ def test_abbreviated_options_rejected(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("usage error:")
+
+
+# sha256 of the --help text at COLUMNS=80, which argparse renders
+HELP_DIGESTS = {
+    (): "ecec0dfd5e772f91d303b6b5cdc3f56c754b95e1b5efe0b0d7f2e2fed793e9d0",
+    ("classgroup",): "fed800aad281d5d348cf8d01f48475e86f4029200d67994e5a81a2be245ddaac",
+    ("classify",): "98d200744f33a5ed0f8cad506caa5a032a221afc6de5aaf934b12e0b7527662e",
+    ("compare",): "de20e65d1311e069f1643e40f824f892fc7129d1ca77b7b4c84d71e82be27fad",
+    ("batch",): "4418a59ffa161e475a797b4686bd6503ede27aaeb6433942f37d30e024598a6c",
+    ("verify-uniqueness",): "ca207d5afff2597f2b08c26b844c0b26fbaaeb40967db239ad0c1f986e89c334",
+    ("dual",): "31c13bc3f296a7b456e8870d38199e00259362475c499f694a9a92d85490393d",
+    ("truncate",): "6a2a3bdf558205bbb89050e0eaf3c10a3099d10f10e46eefbd356f0c6d8bd47e",
+    ("fftype",): "7820a41c00acfeae6f0545378bfb779527d82717505440a2c95fe985576ebb77",
+    ("ffcompare",): "4a06d437eb75b8ce6e10cff5a4f883665f4d5d5803855954b60f12b97b89984c",
+}
+
+
+@pytest.mark.parametrize("sub", sorted(HELP_DIGESTS))
+def test_help_prints_to_stdout_and_returns_0(capsys, monkeypatch, sub):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *sub, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: {' '.join(('galab',) + sub)} [-h]")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[sub]
+    assert run(capsys, *sub, "-h") == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("no-such-command",),
+            "argument SUBCOMMAND: invalid choice: 'no-such-command' (choose from 'classgroup', "
+            "'classify', 'compare', 'batch', 'verify-uniqueness', 'dual', 'truncate', 'fftype', "
+            "'ffcompare')",
+        ),
+        (("classgroup",), "the following arguments are required: --disc"),
+        (("classgroup", "--disc", "abc"), "argument --disc: invalid int value: 'abc'"),
+        (("fftype", "--prime", "2", "--n", "12", "--js"), "unrecognized arguments: --js"),
+        (("classgroup", "--disc"), "argument --disc: expected one argument"),
+        (
+            ("compare", "--disc", "-35", "--disc", "-51", "--split", "3"),
+            "unrecognized arguments: --split 3",
+        ),
+    ],
+)
+def test_usage_error_text(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"usage error: {message}\n")
 
 
 def test_json_outputs_are_deterministic(capsys, tmp_path):

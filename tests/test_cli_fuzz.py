@@ -17,9 +17,11 @@ import tempfile
 from math import prod
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from galab import cli
 from galab.cli import main
 
 SUBCOMMANDS = (
@@ -155,9 +157,80 @@ def test_every_input_exits_within_the_contract(case):
             Path(tmp, name).write_bytes(text.encode("utf-8", "surrogatepass"))
         argv = [str(Path(tmp, a)) if a in files else a for a in argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # --help exits through argparse
-                code = exc.code
+            code = main(argv)
     assert code in (0, 1, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+# -- the table scan against argparse ------------------------------------------------
+
+# values argparse treats in its own ways: negative numbers (a value) against other
+# tokens starting with "-" (an option), "1_0" and " 7", which int() takes, "--", "-h"
+awkward_values = st.sampled_from(
+    ["-35", "-1.5", "-1_0", "- 2", "", " 7", "--x=v", "--", "-h", "-", "2", "1,2", "2:12:4", "x"]
+)
+
+
+@st.composite
+def table_argvs(draw) -> list[str]:
+    """An argv from one subcommand's declared flags, often well-formed, now and then not."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    specs = dict((cli._JSON, *cli._COMMANDS[name][2]))
+    required = [flag for flag, spec in specs.items() if spec.get("required")]
+    # every required flag (most of the time), then any flags again: repeats included
+    flags = draw(st.permutations(required)) if draw(st.integers(0, 4)) else []
+    flags += draw(st.lists(st.sampled_from(list(specs)), max_size=4))
+    argv = [name]
+    for flag in flags:
+        argv.append(flag)
+        if specs[flag].get("action") != "store_true":
+            argv.append(draw(st.one_of(st.integers(-99, 99).map(str), awkward_values)))
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(awkward_values))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(table_argvs())
+@example(["compare", "--disc", "-1_0", "--disc", " 7", "--disc", "-35"])
+@example(["verify-uniqueness", "--prime", "2", "--exponents", "", "--sub", "-1.5", "--sub", "2"])
+@example(["classgroup", "--json", "--disc", "-35", "--json", "--disc", "-4"])
+def test_scan_agrees_with_argparse(argv):
+    scanned = cli._scan(argv)
+    if scanned is not None:
+        assert vars(scanned) == vars(cli._parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classgroup", "--disc", "-1.5"],
+        ["classgroup", "--disc=-35"],
+        ["classgroup", "--", "--disc", "-35"],
+        ["classgroup", "--disc", "-35", "-h"],
+        ["classgroup", "--dis", "-35"],
+        ["classgroup", "--disc"],
+        ["classgroup", "--disc", "x"],
+        ["classgroup"],
+        ["classgroup", "--disc", "-35", ""],
+        ["fftype", "--prime", "2", "--n", "1", "--class0", "- 2"],
+        ["fftype", "--prime", "2", "--n", "1", "--class0", "-x"],
+        ["--json", "classgroup", "--disc", "-35"],
+        ["no-such-command"],
+        [],
+    ],
+)
+def test_scan_leaves_the_rest_to_argparse(argv):
+    assert cli._scan(argv) is None
+
+
+def test_append_lists_are_never_shared():
+    for argv in (
+        ["compare", "--disc", "-35", "--disc", "-51"],
+        ["ffcompare", "--field", "2:12:4,3", "--field", "2:3:3"],
+    ):
+        dest = argv[1][2:]
+        lists = [vars(cli._scan(argv))[dest] for _ in range(2)]
+        lists += [vars(cli._parser().parse_args(argv))[dest] for _ in range(2)]
+        assert all(values == lists[0] and len(values) == 2 for values in lists)
+        assert len({id(values) for values in lists}) == 4
