@@ -10,8 +10,8 @@ cofactor, with every factor it returns proven prime by `isprime`.
 Neither function guesses: an answer that needs the primality of a number at
 or above PRIME_LIMIT with no prime factor below 1000 raises BoundExceeded.
 
-`sqrt_mod` lists the square roots of n modulo an odd prime power:
-Tonelli-Shanks modulo p, then Hensel lifting to p^k (Cohen, §1.5).
+`sqrt_mod` lists the square roots of n modulo an odd prime power: r^((p+1)/4)
+or Tonelli-Shanks modulo p, then Hensel lifting to p^k (Cohen, §1.5).
 """
 
 from __future__ import annotations
@@ -134,21 +134,26 @@ def sqrt_mod(n: int, p: int, k: int = 1) -> list[int]:
         if k > 1:
             raise ValueError("sqrt_mod lifts only roots of units")
         return [0]
-    if pow(r, (p - 1) // 2, p) != 1:
+    if p % 4 == 3:  # x^2 = r * (r | p), so x is a root exactly when r is a residue
+        x = pow(r, (p + 1) // 4, p)
+        if x * x % p != r:
+            return []
+    elif pow(r, (p - 1) // 2, p) != 1:
         return []
-    # Tonelli-Shanks: p - 1 = q * 2^s with q odd, z a non-residue
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q, s = q // 2, s + 1
-    z = next(z for z in count(2) if pow(z, (p - 1) // 2, p) == p - 1)
-    c, x, t = pow(z, q, p), pow(r, (q + 1) // 2, p), pow(r, q, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2, i = t2 * t2 % p, i + 1
-        b = pow(c, 1 << (s - i - 1), p)
-        x, c, s = x * b % p, b * b % p, i
-        t = t * c % p
+    else:
+        # Tonelli-Shanks: p - 1 = q * 2^s with q odd, z a non-residue
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q, s = q // 2, s + 1
+        z = next(z for z in count(2) if pow(z, (p - 1) // 2, p) == p - 1)
+        c, x, t = pow(z, q, p), pow(r, (q + 1) // 2, p), pow(r, q, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2, i = t2 * t2 % p, i + 1
+            b = pow(c, 1 << (s - i - 1), p)
+            x, c, s = x * b % p, b * b % p, i
+            t = t * c % p
     # Hensel: a root modulo p^j lifts uniquely to p^(j+1), since 2x is a unit
     modulus = p
     for _ in range(k - 1):

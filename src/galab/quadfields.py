@@ -1,17 +1,17 @@
 """Imaginary quadratic field arithmetic via binary quadratic forms.
 
 Reduced positive-definite forms of a fundamental discriminant represent the
-ideal classes of the maximal order.  They are listed from the square roots
-of D modulo 4a for each admissible a (Tonelli-Shanks, Hensel lifting and
-CRT; Cohen, A Course in Computational Algebraic Number Theory, §1.5 and
-§5.3), so the listing costs about sqrt|D| steps.  Classes compose by
-Shanks' composition (Cohen, Algorithm 5.4.7) followed by reduction.  The
-arithmetic runs on plain (a, b, c) triples; `BinaryQuadraticForm` objects
-are built only by the public functions and `ClassGroup.representatives`.
-The class group structure is read off each Sylow p-subgroup, the image of
-f -> f^(h/p^e).  For p exactly dividing h it is Z/p, and one image g != 1
-with g^p = 1 shows it; for e >= 2 the images span it, and it holds only
-p^e classes.
+ideal classes of the maximal order.  They are listed by a walk over the a
+with no inert prime factor, each a's square roots of D modulo 4a joined by
+CRT from its parent's (Cohen, A Course in Computational Algebraic Number
+Theory, §1.5 and §5.3), so the listing costs about sqrt|D| steps.  Classes
+compose by Shanks' composition (Cohen, Algorithm 5.4.7) followed by
+reduction.  The arithmetic runs on plain (a, b, c) triples;
+`BinaryQuadraticForm` objects are built only by the public functions and
+`ClassGroup.representatives`. The class group structure is read off each
+Sylow p-subgroup, the image of f -> f^(h/p^e).  For p exactly dividing h it
+is Z/p, and one image g != 1 with g^p = 1 shows it; for e >= 2 the images
+span it, and it holds only p^e classes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from math import gcd, isqrt
 
-from .arith import factorint, sqrt_mod
+from .arith import _primes_below, factorint, sqrt_mod
 from .errors import BoundExceeded, DiscriminantMismatch, NotFundamental
 from .finabelian import FiniteAbelianGroup, _Record
 
@@ -133,15 +133,6 @@ def reduce_form(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(*_reduce(f.a, f.b, f.c, f.discriminant()))
 
 
-def _smallest_prime_factors(n: int) -> list[int]:
-    """spf[m] is the smallest prime factor of m, for 2 <= m <= n."""
-    spf = list(range(n + 1))
-    # descending, so each multiple keeps the smallest p with p^2 <= m dividing it
-    for p in range(isqrt(n), 1, -1):
-        spf[p * p :: p] = [p] * len(range(p * p, n + 1, p))
-    return spf
-
-
 def _reduced_triples(d: int) -> list[Triple]:
     """The reduced forms of a fundamental discriminant as sorted triples; see reduced_forms."""
     dv = _require_fundamental(d)
@@ -151,42 +142,46 @@ def _reduced_triples(d: int) -> list[Triple]:
             "discriminant whose reduced forms are enumerated"
         )
     amax = isqrt(-dv // 3)
-    spf = _smallest_prime_factors(amax)
-    # two_roots[v]: the b mod 2^(v+1) with b^2 = D (mod 2^(v+2))
-    two_roots = [[dv % 2]]
-    odd_roots: dict[int, list[int]] = {}  # p^k -> roots of D mod p^k
+    # walk entries (a, the b mod 2a with b^2 = D (mod 4a), index into powers of the next
+    # prime); the walk starts at each 2^v, whose b mod 2^(v+1) are lifted bit by bit
+    stack, roots, v = [], [dv % 2], 0
+    while roots and 1 << v <= amax:
+        stack.append((1 << v, roots, 0))
+        v += 1
+        roots = [r for s in roots for r in (s, s + (1 << v)) if (r * r - dv) % (4 << v) == 0]
+    # per odd prime that is not inert, its powers q <= amax with the roots of D mod q;
+    # a p | D has the root 0, to the first power only, since D is fundamental
+    powers = []
+    for p in _primes_below(amax + 1)[1:]:
+        if dv % p == 0:
+            powers.append([(p, [0])])
+        elif roots := sqrt_mod(dv, p):
+            powers.append([(p, roots)])
+            q, k = p * p, 2
+            while q <= amax:
+                powers[-1].append((q, sqrt_mod(dv, p, k)))
+                q, k = q * p, k + 1
+    slots: list[list[int] | None] = [None] * (amax + 1)  # the walk reaches each a once
+    while stack:
+        a, residues, i = stack.pop()
+        slots[a] = residues
+        modulus = 2 * a
+        for j in range(i, len(powers)):
+            if a * powers[j][0][0] > amax:
+                break
+            for q, roots in powers[j]:
+                if a * q > amax:
+                    break
+                inv = pow(modulus, -1, q)
+                children = [r + modulus * ((s - r) * inv % q) for r in residues for s in roots]
+                stack.append((a * q, children, j + 1))
     out = []
-    for a in range(1, amax + 1):
-        v = (a & -a).bit_length() - 1
-        while len(two_roots) <= v:
-            u = len(two_roots)
-            two_roots.append([
-                r for s in two_roots[-1] for r in (s, s + (1 << u))
-                if (r * r - dv) % (1 << (u + 2)) == 0
-            ])
-        residues, modulus = two_roots[v], 2 << v
-        rest = a >> v
-        while rest > 1 and residues:
-            p, k = spf[rest], 0
-            while rest % p == 0:
-                rest, k = rest // p, k + 1
-            q = p**k
-            if q not in odd_roots:
-                if dv % p:
-                    odd_roots[q] = sqrt_mod(dv, p, k)
-                else:  # b = 0 mod p, and p^2 does not divide the fundamental D
-                    odd_roots[q] = [0] if k == 1 else []
-            roots = odd_roots[q]
-            inv = pow(modulus, -1, q)
-            residues = [r + modulus * ((s - r) * inv % q) for r in residues for s in roots]
-            modulus *= q
-        for r in residues:
-            b = r if r <= a else r - 2 * a  # so -a < b <= a
-            c = (b * b - dv) // (4 * a)
-            if c < a or (b < 0 and a == c):
-                continue
-            out.append((a, b, c))
-    out.sort()
+    for a, residues in enumerate(slots):
+        if residues:
+            for b in sorted([r if r <= a else r - 2 * a for r in residues]):  # -a < b <= a
+                c = (b * b - dv) // (4 * a)
+                if c > a or (c == a and b >= 0):
+                    out.append((a, b, c))
     return out
 
 
@@ -194,15 +189,15 @@ def reduced_forms(d: int) -> list[BinaryQuadraticForm]:
     """The complete list of reduced forms of a fundamental discriminant, sorted.
 
     A reduced form (a, b, c) has a <= sqrt(|D|/3) and -a < b <= a with
-    b^2 = D (mod 4a), and these b are one period of the square roots of D
-    modulo 4a, read as residues mod 2a.  Each a is factored with a
-    smallest-prime-factor sieve; the roots modulo its odd prime powers come
-    from `sqrt_mod` (an odd p | D gives the root 0, and only to the first
-    power, since D is fundamental), its 2-part from roots lifted bit by bit,
-    and CRT joins them.  c = (b^2 - D)/4a, and (a, b, c) is kept when it is
-    reduced.  The work grows like sqrt|D|, the count is the class number.
-    |D| above MAX_ENUMERATED_DISCRIMINANT raises BoundExceeded before any
-    enumeration.
+    b^2 = D (mod 4a); these b, read mod 2a, exist only if no prime factor of
+    a is inert.  A depth-first walk builds just those a = 2^v p1^k1 ... pn^kn
+    (odd primes ascending), each from its parent and one prime power q by
+    one CRT step with the roots of D mod q, which `sqrt_mod` gives once per
+    q (an odd p | D gives the root 0, to the first power only, since D is
+    fundamental).  An ascending pass over a keeps (a, b, c), with
+    c = (b^2 - D)/4a, when it is reduced, so the list comes out sorted.  The
+    work grows like sqrt|D|, the count is the class number.  |D| above
+    MAX_ENUMERATED_DISCRIMINANT raises BoundExceeded before any enumeration.
     """
     return [BinaryQuadraticForm(*f) for f in _reduced_triples(d)]
 

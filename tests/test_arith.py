@@ -129,6 +129,31 @@ def test_sqrt_mod_hensel_lifts(p, k):
         assert sorted({x % p for x in roots}) == sqrt_mod(n, p)
 
 
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 5), (7, 3), (11, 2), (19, 2), (43, 2)])
+def test_sqrt_mod_primes_3_mod_4_lift_like_brute_force(p, k):
+    # p = 3 (mod 4) takes r^((p+1)/4) instead of Tonelli-Shanks, then the shared
+    # Hensel lifting; k = 1 is in test_sqrt_mod_matches_brute_force_for_small_primes
+    q = p**k
+    roots: dict[int, list[int]] = {}
+    for x in range(q):
+        roots.setdefault(x * x % q, []).append(x)
+    for n in range(q):
+        if n % p:  # roots of multiples of p are lifted only for k = 1
+            assert sqrt_mod(n, p, k) == roots.get(n, []), (n, p, k)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 10**9 + 7, 2**61 - 1])
+def test_sqrt_mod_large_primes_3_mod_4(p):
+    assert p % 4 == 3 and isprime(p)
+    for n in list(range(1, 100)) + [p - 1, p - 2, (p + 1) // 2]:
+        residue = sympy.legendre_symbol(n % p, p) == 1
+        for k in (1, 2):
+            roots = sqrt_mod(n, p, k)
+            assert len(roots) == 2 * residue, (n, k)
+            assert roots == sorted(roots)
+            assert all((x * x - n) % p**k == 0 for x in roots)
+
+
 def test_sqrt_mod_rejects_unsupported_moduli():
     with pytest.raises(ValueError):
         sqrt_mod(3, 2)

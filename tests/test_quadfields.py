@@ -272,6 +272,36 @@ def test_reduced_forms_match_trial_division_oracle():
         assert reduced_forms(d) == trial_division_forms(d), d
 
 
+def test_reduced_forms_match_trial_division_on_a_seeded_sample():
+    # with sqrt(|D|/3) from 182 to 577, a reaches odd split p^k with k >= 3 (27, 125,
+    # 343) and ramified p with p^2 <= sqrt(|D|/3), whose root 0 lifts to p only
+    rng = random.Random(20)
+    sample: list[int] = []
+    while len(sample) < 20:
+        d = -rng.randrange(10**5, 10**6)
+        if is_fundamental(d):
+            sample.append(d)
+    cubes = ramified = 0
+    for d in sample:
+        forms = reduced_forms(d)
+        assert forms == trial_division_forms(d), d
+        amax = isqrt(-d // 3)
+        cubes += any(f.a % p**3 == 0 for f in forms for p in (3, 5, 7) if d % p)
+        ramified += any(2 < p and p * p <= amax for p in primefactors(-d))
+    assert cubes and ramified
+
+
+def test_two_is_inert_when_d_is_5_mod_8():
+    # D = 5 (mod 8) has no square root modulo 8, so no even a carries a form; for
+    # D = 1 (mod 8) with |D| >= 15 the form (2, 1, (1 - D)/8) is reduced
+    for d in fundamental_discriminants(20000) + [-44747787, -48042147, -82360599]:
+        evens = [f for f in reduced_forms(d) if f.a % 2 == 0]
+        if d % 8 == 5:
+            assert not evens, d
+        elif d % 8 == 1 and d <= -15:
+            assert BQF(2, 1, (1 - d) // 8) in evens, d
+
+
 def test_reduced_forms_smallest_discriminants():
     assert reduced_forms(-3) == [BQF(1, 1, 1)]
     assert reduced_forms(-4) == [BQF(1, 0, 1)]
