@@ -9,6 +9,10 @@ Everything here is integer-exact.  `quotient` reduces G / <generators> one
 prime at a time, pivoting on an entry of least valuation modulo the largest
 prime power of G, so no general integer Smith normal form is needed.
 
+A `GroupElement` is a plain record of (group, coords), one residue per
+cyclic factor in the order of `factor_orders`; it carries no arithmetic.
+It names witnesses, counterexamples and the generators passed to `quotient`.
+
 Subgroups are searched one prime at a time, by one routine: `l_subgroups`
 yields each copy of a given l-group type lazily, in canonical order, named
 by its canonical generators.  A subgroup of composite order is the sum of
@@ -18,8 +22,9 @@ its l-parts.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .arith import factorint
@@ -88,7 +93,7 @@ class FiniteAbelianGroup:
     def __init__(self, *orders: int):
         collected: dict[int, list[int]] = {}
         for d in orders:
-            d = int(d)
+            d = operator.index(d)
             if d <= 0:
                 raise ValueError(f"cyclic order must be positive, got {d}")
             if d == 1:
@@ -158,11 +163,6 @@ class FiniteAbelianGroup:
         return prod(p ** exps[0] for p, exps in self._primary)
 
     @property
-    def rank(self) -> int:
-        """Minimal number of generators (max factor count over primes)."""
-        return max((len(exps) for _, exps in self._primary), default=0)
-
-    @property
     def is_trivial(self) -> bool:
         return not self._primary
 
@@ -171,26 +171,10 @@ class FiniteAbelianGroup:
 
     # -- structural helpers -------------------------------------------------
 
-    def primary_part(self, prime: int) -> FiniteAbelianGroup:
-        return FiniteAbelianGroup.from_prime_exponents(prime, self.exponents_at(prime))
-
     def without_prime(self, prime: int) -> FiniteAbelianGroup:
         return FiniteAbelianGroup._from_primary(
             {p: exps for p, exps in self._primary if p != prime}
         )
-
-    # -- elements ------------------------------------------------------------
-
-    def zero(self) -> GroupElement:
-        return GroupElement(self, (0,) * len(self._factor_orders))
-
-    def element(self, coords: Sequence[int]) -> GroupElement:
-        orders = self._factor_orders
-        return GroupElement(self, tuple(c % d for c, d in zip(coords, orders)))
-
-    def elements(self) -> Iterator[GroupElement]:
-        for coords in itertools.product(*(range(d) for d in self._factor_orders)):
-            yield GroupElement(self, coords)
 
     # -- dunder --------------------------------------------------------------
 
@@ -241,60 +225,18 @@ def group_literal(g: FiniteAbelianGroup) -> str:
 
 
 class GroupElement(_Record):
-    """An element of a FiniteAbelianGroup, one residue per cyclic factor."""
+    """An element of a FiniteAbelianGroup: one residue per cyclic factor, and no arithmetic."""
 
     __slots__ = ("group", "coords")
 
-    def __init__(self, group: FiniteAbelianGroup, coords: tuple[int, ...]) -> None:
+    def __init__(self, group: FiniteAbelianGroup, coords: Sequence[int]) -> None:
+        coords = tuple(coords)
         orders = group.factor_orders
         if len(coords) != len(orders):
             raise ValueError("coordinate count does not match factor count")
         if any(not 0 <= c < d for c, d in zip(coords, orders)):
             raise ValueError("coordinates out of range")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coords", coords)
-
-    # spelled out rather than inherited: elements are built and compared in bulk
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.coords) == (other.group, other.coords)
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.coords))
-
-    def _check(self, other: GroupElement) -> None:
-        if self.group != other.group:
-            raise ValueError("elements of different groups")
-
-    def __add__(self, other: GroupElement) -> GroupElement:
-        self._check(other)
-        orders = self.group.factor_orders
-        return GroupElement(
-            self.group,
-            tuple((a + b) % d for a, b, d in zip(self.coords, other.coords, orders)),
-        )
-
-    def __neg__(self) -> GroupElement:
-        orders = self.group.factor_orders
-        return GroupElement(self.group, tuple((-a) % d for a, d in zip(self.coords, orders)))
-
-    def __sub__(self, other: GroupElement) -> GroupElement:
-        return self + (-other)
-
-    def __mul__(self, n: int) -> GroupElement:
-        orders = self.group.factor_orders
-        return GroupElement(self.group, tuple((a * n) % d for a, d in zip(self.coords, orders)))
-
-    __rmul__ = __mul__
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    @property
-    def order(self) -> int:
-        return _element_order(self.coords, self.group.factor_orders)
+        self._init(group, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +283,6 @@ def power_and_socle(g: FiniteAbelianGroup, n: int) -> tuple[FiniteAbelianGroup, 
 
 # ---------------------------------------------------------------------------
 # Raw coordinate helpers (hot paths run on plain tuples or packed ints)
-
-
-def _element_order(coords: tuple[int, ...], orders: tuple[int, ...]) -> int:
-    o = 1
-    for c, d in zip(coords, orders):
-        o = lcm(o, d // gcd(c, d))
-    return o
 
 
 class _Packing:

@@ -64,18 +64,7 @@ class BinaryQuadraticForm(_Record):
     def __init__(self, a: int, b: int, c: int) -> None:
         if a <= 0 or b * b - 4 * a * c >= 0:
             raise ValueError(f"form ({a},{b},{c}) is not positive definite")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-
-    # spelled out rather than inherited: the class group builds and hashes forms in bulk
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c))
+        self._init(a, b, c)
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c

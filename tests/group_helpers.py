@@ -4,6 +4,8 @@
 `subgroup_copies` lists every copy of a group inside another through the
 library's one subgroup search, `l_subgroups`; `span_set` spans a subgroup
 from generators by brute force.
+`elements`, `multiple` and `element_order` do element arithmetic on
+coordinate tuples, one residue per factor of `factor_orders`.
 `smith_normal_form` and `from_relations` read a presentation Z^g / (rows)
 off a general integer Smith normal form: the oracle for `quotient`.
 """
@@ -11,7 +13,8 @@ off a general integer Smith normal form: the oracle for `quotient`.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from math import gcd, lcm
+from typing import Iterator, Sequence
 
 from galab.arith import factorint
 from galab.finabelian import (
@@ -43,12 +46,27 @@ def subgroup_copies(g: FiniteAbelianGroup, a: FiniteAbelianGroup) -> list[list[G
     return [[GroupElement(g, c) for c in itertools.chain(*gens)] for gens in itertools.product(*per_prime)]
 
 
+def elements(g: FiniteAbelianGroup) -> Iterator[tuple[int, ...]]:
+    """Every element of G, in ascending coordinate-tuple order."""
+    return itertools.product(*(range(d) for d in g.factor_orders))
+
+
+def multiple(g: FiniteAbelianGroup, k: int, x: Sequence[int]) -> tuple[int, ...]:
+    """k x in G, for any integer coordinates x."""
+    return tuple(k * c % d for c, d in zip(x, g.factor_orders))
+
+
+def element_order(g: FiniteAbelianGroup, x: Sequence[int]) -> int:
+    """The order of x in G: the lcm of its orders in the cyclic factors."""
+    return lcm(*(d // gcd(c, d) for c, d in zip(x, g.factor_orders)))
+
+
 def span_set(gens, g: FiniteAbelianGroup) -> frozenset[tuple[int, ...]]:
     """Coordinate set of the subgroup of G generated by gens: all their sums."""
-    els = {g.zero().coords}
+    els = {(0,) * len(g.factor_orders)}
     for x in gens:
-        multiples = [(x * k).coords for k in range(x.order)]
-        els = {g.element([a + b for a, b in zip(y, m)]).coords for y in els for m in multiples}
+        multiples = [multiple(g, k, x.coords) for k in range(element_order(g, x.coords))]
+        els = {multiple(g, 1, [a + b for a, b in zip(y, m)]) for y in els for m in multiples}
     return frozenset(els)
 
 

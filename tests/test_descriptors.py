@@ -203,11 +203,11 @@ def test_truncate_finite_compatibility():
             0, tuple(LocalFactors.make(p, 0, Counter(g.exponents_at(p))) for p in g.primes)
         )
         e = dual_profinite(d)
+        cap = max(len(g.exponents_at(p)) for p in g.primes) + 1
         for p in g.primes:
-            cap = g.rank + 1
             top = max(g.exponents_at(p))
-            assert truncate(d, p, top, cap, 0) == g.primary_part(p)
-            assert truncate(e, p, top, cap, 0) == dual_finite(g).primary_part(p)
+            assert truncate(d, p, top, cap, 0) == G.from_prime_exponents(p, g.exponents_at(p))
+            assert truncate(e, p, top, cap, 0) == G.from_prime_exponents(p, dual_finite(g).exponents_at(p))
 
 
 def test_truncate_monotone_in_depth_and_cap():
@@ -245,7 +245,7 @@ def test_truncate_refuses_oversized_models(descriptor, max_exp, cap, free_level)
 
 def test_truncate_at_the_size_limit():
     aleph = ProfiniteDescriptor(0, (LocalFactors.make(3, 0, {2: ALEPH0}),))
-    assert truncate(aleph, 3, 2, MAX_TRUNCATION_FACTORS, 0).rank == MAX_TRUNCATION_FACTORS
+    assert len(truncate(aleph, 3, 2, MAX_TRUNCATION_FACTORS, 0).factor_orders) == MAX_TRUNCATION_FACTORS
     # a tower with nothing kept is empty however deep it is truncated
     assert truncate(prime_tower_descriptor(2), 2, 10**12, 0, 0) == G()
 

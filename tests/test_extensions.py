@@ -19,8 +19,10 @@ from galab.extensions import (
     verify_diagram,
     verify_uniqueness,
 )
-from galab.finabelian import FiniteAbelianGroup, l_subgroups, partitions_desc, quotient
-from group_helpers import abelian_groups_of_order, from_relations, span_set, subgroup_copies
+from galab.finabelian import FiniteAbelianGroup, GroupElement, l_subgroups, partitions_desc, quotient
+from group_helpers import (
+    abelian_groups_of_order, element_order, elements, from_relations, multiple, span_set, subgroup_copies,
+)
 
 G = FiniteAbelianGroup
 
@@ -91,7 +93,7 @@ def test_counts_monotone_and_witness_soundness():
             els = span_set(cls.sub_generators, cls.group)
             # witness re-verification: S = sub, S in l^m B, B/S = quotient sum
             assert len(els) == s.sub.order
-            multiples = {(x * s.prime ** cls.max_level).coords for x in cls.group.elements()}
+            multiples = {multiple(cls.group, s.prime ** cls.max_level, x) for x in elements(cls.group)}
             assert els <= multiples
             assert quotient(cls.group, list(cls.sub_generators)) == s.quotient_group
             assert cls.quotient_form == s.quotient_group
@@ -172,7 +174,7 @@ def _per_level_survival(b, s, subgroup_copies=subgroup_copies, quotient=quotient
     """For m from exp(B) down, the first copy of the sub inside l^m B with B/S = C."""
     copies = subgroup_copies(b, s.sub)
     for m in range(max(b.exponents_at(s.prime), default=0), -1, -1):
-        multiples = {(x * s.prime ** m).coords for x in b.elements()}
+        multiples = {multiple(b, s.prime ** m, x) for x in elements(b)}
         for gens in copies:
             if all(g.coords in multiples for g in gens) and quotient(b, gens) == s.quotient_group:
                 return m, [g.coords for g in gens]
@@ -476,7 +478,7 @@ def test_canonical_witness_embeds_sub():
     for s in _canonical_grid():
         b, witness = canonical_extension_with_witness(s)
         assert b == from_relations(*_presentation(s)), s
-        assert tuple(x.order for x in witness) == s.sub.factor_orders, s
+        assert tuple(element_order(b, x.coords) for x in witness) == s.sub.factor_orders, s
         assert quotient(b, list(witness)) == s.quotient_group, s
         if b.order <= 1024:
             assert len(span_set(witness, b)) == s.sub.order, s
@@ -671,7 +673,7 @@ def _dual_model_oracle(b, witness, sub, saturation, prime, n):
     orders = b.factor_orders
     sub_elements = span_set(witness, b)
     for m in range(saturation + 1):
-        multiples = {(x * prime ** m).coords for x in b.elements()}
+        multiples = {multiple(b, prime ** m, x) for x in elements(b)}
         if not sub_elements <= multiples:
             return f"sub element not divisible by {prime}^{m} in the model", sub_elements - multiples
     if b.is_trivial:
@@ -681,15 +683,15 @@ def _dual_model_oracle(b, witness, sub, saturation, prime, n):
     def pairing(c, x):
         return sum((e // d) * ci * xi for ci, xi, d in zip(c, x, orders)) % e
 
-    tower = {c.coords for c in b.elements() if all(pairing(c.coords, s) == 0 for s in sub_elements)}
+    tower = {c for c in elements(b) if all(pairing(c, s) == 0 for s in sub_elements)}
     assert len(tower) * sub.order == b.order
-    socle = {c.coords for c in b.elements() if (c * prime ** n).is_zero}
+    socle = {c for c in elements(b) if not any(multiple(b, prime ** n, c))}
     if len(socle) != len(socle & tower):
         reason = f"socle sizes differ at {prime}^{n}: dual has {len(socle)}, tower has {len(socle & tower)}"
         return reason, socle - tower
     # D -> D/T kills exactly T, so the composite from the socle to the sub is
     # zero exactly when socle <= tower, which the socle check has just decided
-    assert quotient(b, [b.element(t) for t in sorted(tower)]) == sub
+    assert quotient(b, [GroupElement(b, t) for t in sorted(tower)]) == sub
     return None, set()
 
 

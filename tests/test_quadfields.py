@@ -267,9 +267,22 @@ def test_reduced_forms_match_brute_force_oracle():
         assert got == brute_force_reduced_forms(d)
 
 
+# h: (number of fields, largest |D|) of the complete lists of imaginary quadratic
+# fields of class number h: Heegner-Baker-Stark (h = 1), Baker and Stark 1971
+# (h = 2), Oesterle 1985 (h = 3) and Watkins 2004, Math. Comp. 73 (h = 5, 7)
+PRIME_CLASS_NUMBER_LISTS = {1: (9, 163), 2: (18, 427), 3: (16, 907), 5: (25, 2683), 7: (31, 5923)}
+
+
 def test_reduced_forms_match_trial_division_oracle():
+    # every list above ends below |D| = 20000, so the walk meets each of its fields
+    tally: dict[int, list[int]] = {h: [] for h in PRIME_CLASS_NUMBER_LISTS}
     for d in fundamental_discriminants(20000):
-        assert reduced_forms(d) == trial_division_forms(d), d
+        forms = reduced_forms(d)
+        assert forms == trial_division_forms(d), d
+        if len(forms) in tally:
+            assert class_group(d).order == len(forms), d
+            tally[len(forms)].append(-d)
+    assert {h: (len(ds), max(ds)) for h, ds in tally.items()} == PRIME_CLASS_NUMBER_LISTS
 
 
 def test_reduced_forms_match_trial_division_on_a_seeded_sample():

@@ -107,6 +107,8 @@ def test_record_defaults():
     assert DiagramCheck(True) == DiagramCheck(True, None, None)
     assert bool(DiagramCheck(True)) and not DiagramCheck(False, "why")
     assert TruncationSpec(2, G(2), [1, 2]) == TruncationSpec(2, G(2), (1, 2), 0)
+    from_list = GroupElement(G(4), [1])
+    assert from_list == GroupElement(G(4), (1,)) and hash(from_list) == hash(GroupElement(G(4), (1,)))
     assert LocalFactors(2) == LocalFactors(2, 0, (), False)
     assert ProfiniteDescriptor() == ProfiniteDescriptor(0, (), False)
     assert DiscreteTorsionDescriptor() == DiscreteTorsionDescriptor(0, (), False)
