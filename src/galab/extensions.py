@@ -9,10 +9,12 @@ candidate survives is the saturation level.  Whether an abelian l-group B of
 the forced order survives, and up to which level, is decided in closed form
 from the types of B, A and the quotient sum (Green's theorem on Hall
 polynomials), so the reports are exact.  Only the types that contain the
-quotient sum's are visited; every other B fails at level 0.  A subgroup
-search runs only for the classes a report returns, to find the canonical
-witness copy of A.  A uniqueness sweep reads its counts from the levels and
-searches only the survivors at saturation.
+quotient sum's are visited; every other B fails at level 0.  The saturation
+level itself needs no scan: it is the r-th largest quotient exponent for A
+of rank r (see `_saturation`).  A subgroup search runs only for the classes
+a report returns, to find the canonical witness copy of A.  A uniqueness
+sweep reads its counts from the levels and searches only the survivors at
+saturation.
 """
 
 from __future__ import annotations
@@ -193,12 +195,6 @@ def _lr_nonzero(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) 
     return place(0)
 
 
-def _holds_at(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...], m: int) -> bool:
-    """Condition (ii) of `_survival_level` at level m: c^{(lam-m)+}_{(nu-m)+,mu} != 0."""
-    lam_m, nu_m = (tuple(x - m for x in p if x > m) for p in (lam, nu))
-    return _lr_nonzero(lam_m, nu_m, mu)
-
-
 def _survival_level(
     lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]
 ) -> int | None:
@@ -221,16 +217,15 @@ def _survival_level(
     """
     level = None
     for m in range((lam[0] if lam else 0) + 1):
-        if not _holds_at(lam, mu, nu, m):
+        lam_m, nu_m = (tuple(x - m for x in p if x > m) for p in (lam, nu))
+        if not _lr_nonzero(lam_m, nu_m, mu):
             break
         level = m
     return level
 
 
-def _candidates(
-    spec: TruncationSpec,
-) -> tuple[tuple[int, ...], tuple[int, ...], Iterator[tuple[int, ...]]]:
-    """The types mu of the sub and nu of the quotient sum, and the types lam to scan.
+def _survival_levels(spec: TruncationSpec) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(type, level) of each l-group of the spec's order that survives at some level.
 
     A type lam survives at all only if c^lam_{mu,nu} != 0, which needs nu
     inside lam, lam_1 <= mu_1 + nu_1 and len(lam) <= len(mu) + len(nu).
@@ -240,36 +235,34 @@ def _candidates(
     mu = spec.sub.exponents_at(spec.prime)
     nu = spec.quotient_exponents[::-1]
     top = (mu[0] if mu else 0) + (nu[0] if nu else 0)
-    parts = partitions_desc(sum(mu) + sum(nu), top, nu)
-    return mu, nu, (p for p in parts if len(p) <= len(mu) + len(nu))
-
-
-def _survival_levels(spec: TruncationSpec) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(type, level) of each l-group of the spec's order that survives at some level."""
-    mu, nu, parts = _candidates(spec)
-    for part in parts:
-        level = _survival_level(part, mu, nu)
-        if level is not None:
-            yield part, level
+    for part in partitions_desc(sum(mu) + sum(nu), top, nu):
+        if len(part) <= len(mu) + len(nu):
+            level = _survival_level(part, mu, nu)
+            if level is not None:
+                yield part, level
 
 
 def _saturation(spec: TruncationSpec) -> int:
-    """Largest level at which some l-group survives (-1 if none ever does).
+    """Largest level at which some l-group survives, in closed form.
 
-    The candidates of `_survival_levels`, pruned by the best level found so
-    far: a type that survives at some level above best passes (ii) at
-    best + 1, since the scan of `_survival_level` went through it.  So one
-    tableau search at best + 1 drops every other type, and only the rest get
-    a full scan.
+    Let the sub have type mu of rank r, and let k_1 < ... < k_n be the
+    quotient exponents, nu = (k_n, ..., k_1).  The level is k_n for the
+    trivial sub (0 when n = 0), k_(n-r+1), the r-th largest exponent, when
+    n >= r, and 0 otherwise; never -1.  By the criterion of `_survival_level`:
+    necessity, m >= 1: (ii) needs mu inside (lam-m)+, so r <= #{lam_i > m}
+    <= #{lam_i >= m}, and by (i) that count is #{nu_i >= m}; nu has distinct
+    parts, so m <= k_(n-r+1).  Sufficiency: take alpha = (nu-m)+ and let lam
+    be the parts of nu below m, then (alpha+mu)_i + m, then m repeated up to
+    #{nu_i >= m} parts.  This lam has the forced size, satisfies (i), and
+    c^{alpha+mu}_{alpha,mu} = 1, so it survives at m and, a copy in l^m B
+    lying in every l^k B with k < m, the scan reaches m.  For the trivial sub
+    (ii) forces lam = nu, which survives up to lam_1 = k_n.
     """
-    mu, nu, parts = _candidates(spec)
-    best = -1
-    for part in parts:
-        if _holds_at(part, mu, nu, best + 1):
-            level = _survival_level(part, mu, nu)
-            if level is not None and level > best:
-                best = level
-    return best
+    r = len(spec.sub.exponents_at(spec.prime))
+    ks = spec.quotient_exponents
+    if r == 0:
+        return ks[-1] if ks else 0
+    return ks[-r] if len(ks) >= r else 0
 
 
 def _witness(b: FiniteAbelianGroup, spec: TruncationSpec, level: int) -> tuple[GroupElement, ...]:
@@ -462,14 +455,13 @@ def verify_uniqueness(
 
     A case passes when exactly one isomorphism class survives at the
     saturation level and it equals the canonical glued extension.  The
-    saturation level comes in closed form (the canonical extension survives
-    at level 0, so it is never -1); the report is then enumerated at that
-    level, so only the survivors there are searched for witnesses.
+    saturation level is read off the exponents (`_saturation`), so each case
+    runs one level scan, inside `enumerate_extensions` at that level, and
+    only the survivors there are searched for witnesses.
     """
     cases = []
     for exps in exponent_lists:
         spec = TruncationSpec(prime, sub, tuple(exps), 0)
-        _check_bound(spec, bound)
         sat = _saturation(spec)
         report = enumerate_extensions(TruncationSpec(prime, sub, spec.quotient_exponents, sat), bound)
         survivors = tuple(s.group for s in report.classes)
@@ -516,8 +508,9 @@ def verify_diagram(
     B is the canonical glued extension (or `model` with its best witness) and
     S the sub-copy; its dual D = Hom(B, Q/Z) carries the annihilator T of S
     (the dual of the cyclic-sum quotient) with D/T isomorphic to the sub.
-    The saturation level and a model's own level come in closed form, with no
-    enumeration; only a `model` is searched, for its witness.
+    The saturation level is read off the exponents (`_saturation`), so the
+    canonical B needs no level scan and no search; a `model` gets its own
+    level from the scan of its type alone, and a search for its witness.
     Checks: every element of S is divisible by l^m in B for all m up to the
     saturation level of the spec's enumeration, the l^n-socles of D and T
     have equal size, and the composite from D's socle to the sub is zero.

@@ -105,11 +105,11 @@ class FiniteAbelianGroup:
     def _init_from(self, primary: Mapping[int, Iterable[int]]) -> None:
         data = []
         for p in sorted(primary):
-            exps = tuple(sorted((int(e) for e in primary[p]), reverse=True))
+            exps = tuple(sorted(map(operator.index, primary[p]), reverse=True))
             if any(e <= 0 for e in exps):
                 raise ValueError("exponents must be positive")
             if exps:
-                data.append((int(p), exps))
+                data.append((operator.index(p), exps))
         object.__setattr__(self, "_primary", tuple(data))
         object.__setattr__(
             self,
@@ -126,7 +126,7 @@ class FiniteAbelianGroup:
     @classmethod
     def from_prime_exponents(cls, prime: int, exponents: Iterable[int]) -> FiniteAbelianGroup:
         """Build an l-group directly from cyclic exponents, skipping factorization."""
-        exps = [e for e in exponents if e > 0]
+        exps = [e for e in map(operator.index, exponents) if e > 0]
         return cls._from_primary({prime: exps} if exps else {})
 
     # -- canonical data ----------------------------------------------------

@@ -169,9 +169,10 @@ def test_prime_class_number_dichotomy():
 
 
 def test_builtin_table_is_the_odd_class_number_two_fields_five_mod_eight():
-    # a description of the data, not a rule the classifier applies
+    # a description of the data, not a rule the classifier applies.  The h = 2 list
+    # is complete (Baker 1971, Stark 1971): 18 fields up to |D| = 427, all met here
     two = [d for d in fundamental_discriminants(5000) if class_number(d) == 2]
-    assert len(two) == 18
+    assert (len(two), min(two)) == (18, -427)
     assert [d for d in two if d % 8 == 5] == list(SPLIT_TABLE_DISCRIMINANTS)
     assert [d for d in two if d % 2 and d % 8 != 5] == [-15]
 

@@ -324,29 +324,35 @@ def test_pruned_level_scan_matches_every_partition():
 
 
 def _deep_saturation_grid():
-    # subs of order up to l^4 under every exponent set inside 1..6, log_l |B| <= 16
-    exponent_sets = [c for k in range(1, 7) for c in itertools.combinations(range(1, 7), k)]
-    for prime in (2, 3):
-        for size in range(5):
+    # subs of order up to l^6 under every exponent set inside 1..6, the empty one
+    # included, log_l |B| <= 16 (12 for l = 5)
+    exponent_sets = [c for k in range(7) for c in itertools.combinations(range(1, 7), k)]
+    for prime, top in ((2, 16), (3, 16), (5, 12)):
+        for size in range(7):
             for mu in partitions_desc(size):
                 for exps in exponent_sets:
-                    if size + sum(exps) <= 16:
+                    if size + sum(exps) <= top:
                         yield spec(prime, G.from_prime_exponents(prime, mu), exps)
 
 
-def test_pruned_saturation_matches_the_level_table():
+def test_closed_form_saturation_matches_the_level_table():
     specs = list(_roadmap_grid()) + [spec(p, sub, exps) for p, sub, exps in BENCHMARK_GRID]
     specs += _deep_saturation_grid()
+    branches = set()
     for s in specs:
         table = max((level for _, level in extensions._survival_levels(s)), default=-1)
         assert extensions._saturation(s) == table, s
-    assert len(specs) == 86 + 1094
+        rank, n = len(s.sub.factor_orders), len(s.quotient_exponents)
+        branches.add("trivial" if rank == 0 else "n >= r" if n >= rank else "n < r")
+    assert branches == {"trivial", "n >= r", "n < r"}
+    assert len(specs) == 86 + 2954
 
 
 def test_level_scan_work_guard(monkeypatch):
     # sub Z/2+Z/4+Z/8 with [1..7], |B| = 2^34: listing every partition of 34 up to
-    # part 10 took 13 824 candidates per sweep, and filling lam/mu with nu, unpruned,
-    # 1368 tableau searches per diagram check
+    # part 10 took 13 824 candidates per sweep; listing from nu up takes 550, and a
+    # sweep lists them once, inside enumerate_extensions.  The diagram check reads
+    # the saturation level off the exponents, with no scan at all.
     counts = {"partitions": 0, "tableaux": 0}
     partitions, lr_nonzero = extensions.partitions_desc, extensions._lr_nonzero
 
@@ -364,10 +370,10 @@ def test_level_scan_work_guard(monkeypatch):
     sub, exps = G(2, 4, 8), (1, 2, 3, 4, 5, 6, 7)
     (case,) = verify_uniqueness(2, sub, [exps], bound=2 ** 40).cases
     assert case.saturation_level == 5 and len(case.survivors) == 5
-    assert counts["partitions"] <= 1200
-    counts["tableaux"] = 0
+    assert counts["partitions"] <= 550
+    counts.update(partitions=0, tableaux=0)
     assert verify_diagram(2, sub, spec(2, sub, exps), 1, bound=2 ** 40)
-    assert counts["tableaux"] <= 600
+    assert counts == {"partitions": 0, "tableaux": 0}
 
 
 def _count_searches(monkeypatch) -> list:

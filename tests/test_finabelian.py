@@ -196,6 +196,11 @@ def test_isomorphism_examples():
     for order in (2.5, 4.9, 4.0):
         with pytest.raises(TypeError):
             G(order)
+    # and so are primes and exponents
+    assert G.from_prime_exponents(2, [_Four(), 0, 1]) == G(16, 2)
+    for prime, exps in ((2, [2.5]), (2, [2.0]), (2, [1, 0.5]), (2.0, [1])):
+        with pytest.raises(TypeError):
+            G.from_prime_exponents(prime, exps)
 
 
 def test_canonical_accessors():
