@@ -14,7 +14,8 @@ level itself needs no scan: it is the r-th largest quotient exponent for A
 of rank r (see `_saturation`).  A subgroup search runs only for the classes
 a report returns, to find the canonical witness copy of A.  A uniqueness
 sweep reads its counts from the levels and searches only the survivors at
-saturation.
+saturation.  A diagram check is decided from the types as well; it builds
+elements, and searches a model for its witness, only to name a failure.
 """
 
 from __future__ import annotations
@@ -289,22 +290,6 @@ def _witness(b: FiniteAbelianGroup, spec: TruncationSpec, level: int) -> tuple[G
     raise AssertionError(f"{b} survives at level {level} of {spec} but has no witness there")
 
 
-def _max_survival(b: FiniteAbelianGroup, spec: TruncationSpec) -> tuple[int, tuple[GroupElement, ...]] | None:
-    """Highest m at which B survives, with a witness there (None if never).
-
-    The level comes in closed form from the types of B, the sub and the
-    quotient sum; only a surviving B is searched, for its witness.
-    """
-    if b.order != spec.total_order:
-        return None
-    l = spec.prime
-    nu = spec.quotient_exponents[::-1]
-    level = _survival_level(b.exponents_at(l), spec.sub.exponents_at(l), nu)
-    if level is None:
-        return None
-    return level, _witness(b, spec, level)
-
-
 def _check_bound(spec: TruncationSpec, bound: int) -> None:
     if bound < 1:
         raise ValueError(f"the enumeration bound must be >= 1, got {bound}")
@@ -508,9 +493,6 @@ def verify_diagram(
     B is the canonical glued extension (or `model` with its best witness) and
     S the sub-copy; its dual D = Hom(B, Q/Z) carries the annihilator T of S
     (the dual of the cyclic-sum quotient) with D/T isomorphic to the sub.
-    The saturation level is read off the exponents (`_saturation`), so the
-    canonical B needs no level scan and no search; a `model` gets its own
-    level from the scan of its type alone, and a search for its witness.
     Checks: every element of S is divisible by l^m in B for all m up to the
     saturation level of the spec's enumeration, the l^n-socles of D and T
     have equal size, and the composite from D's socle to the sub is zero.
@@ -519,6 +501,20 @@ def verify_diagram(
     in l^n B; the socle sizes are read off the invariants of B and of the
     quotient.  On failure the offending element is reported: an element of
     S outside l^m B, or a character in D[l^n] that is non-zero on S.
+
+    Whether the check passes is decided from the types alone, and elements
+    are built only to name a failure.  A trivial sub passes whenever B
+    exists.  Otherwise, with s the saturation level (`_saturation`):
+    - the canonical B passes exactly when n <= s.  Its witness a_j is
+      l^top_j times the generator of a Z/l^(e_j+top_j) summand, so it lies
+      in l^m B exactly when m <= top_j.  The round robin gives each a_j one
+      of the r largest quotient exponents as its top, or 0 when n < r, so
+      min_j top_j = k_(n-r+1) = s.  B's exponent exceeds s, so past s the
+      sub-copy is not inside l^min(n, exp B) B.
+    - a `model` of type lam survives up to its level L (`_survival_level`),
+      and passes exactly when L = s and n <= s.  Its witness lies in l^L B
+      and not in l^(L+1) B, else B would survive at L + 1; L <= s, and B's
+      exponent exceeds L.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -527,13 +523,19 @@ def verify_diagram(
     _check_bound(spec, bound)
     saturation = _saturation(spec)
     if model is None:
+        if sub.is_trivial or n <= saturation:
+            return DiagramCheck(True)
         b, witness = canonical_extension_with_witness(spec)
     else:
-        b = model
-        hit = _max_survival(model, spec)
-        if hit is None:
+        level = None
+        if model.order == spec.total_order:
+            mu, nu = sub.exponents_at(prime), spec.quotient_exponents[::-1]
+            level = _survival_level(model.exponents_at(prime), mu, nu)
+        if level is None:
             return _fail("model admits no sub-copy with the required quotient")
-        witness = hit[1]
+        if sub.is_trivial or (level == saturation and n <= saturation):
+            return DiagramCheck(True)
+        b, witness = model, _witness(model, spec, level)
 
     for m in range(1, saturation + 1):
         hit = _outside_multiple(witness, prime ** m)
@@ -545,7 +547,7 @@ def verify_diagram(
     socle_mult = prime ** min(n, max(b.exponents_at(prime), default=0))
     hit = _outside_multiple(witness, socle_mult)
     if hit is None:
-        return DiagramCheck(True)
+        raise AssertionError(f"the types fail {spec} at {prime}^{n} on {b}, but the witness passes")
     # characters of B are coordinate vectors under <c, x> = sum (e/d_i) c_i x_i mod e;
     # (d_i / gcd(d_i, l^n)) e_i is killed by l^n and pairs non-trivially with s
     s, i = hit

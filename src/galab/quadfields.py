@@ -238,8 +238,9 @@ def _power(f: Triple, k: int, d: int) -> Triple:
     while k:
         if k & 1:
             result = _compose(result, base, d)
-        base = _compose(base, base, d)
         k >>= 1
+        if k:  # the square after the top bit would never be read
+            base = _compose(base, base, d)
     return result
 
 
@@ -315,7 +316,8 @@ def class_group(d: int) -> ClassGroup:
             primary[p] = [1]
             continue
         q = p**e
-        sylow, gens = _span((_power(f, h // q, d) for f in forms), identity, q, d)
+        # forms[0] is the principal form, whose image adds nothing to the span
+        sylow, gens = _span((_power(f, h // q, d) for f in forms[1:]), identity, q, d)
         if len(sylow) != q:
             raise ArithmeticError("Sylow span falls short of its order; composition is broken")
         primary[p] = _p_group_exponents(gens, identity, p, e, d)
@@ -332,9 +334,11 @@ def _check_prime_order(
 
     With h = cofactor * p and p prime to cofactor, such an image spans the
     Sylow p-subgroup Z/p.  Raises ArithmeticError if every image is the
-    identity or the first one that is not fails g^p = identity.
+    identity or the first one that is not fails g^p = identity.  The
+    search starts at forms[1]: forms[0] is the principal form, whose image
+    is the identity.
     """
-    for f in forms:
+    for f in forms[1:]:
         g = _power(f, cofactor, d)
         if g != identity:
             if _power(g, p, d) != identity:

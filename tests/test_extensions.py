@@ -213,8 +213,10 @@ def test_max_survival_matches_per_level_search(monkeypatch):
         if s.total_order > 256:
             continue
         for b in abelian_groups_of_order(s.total_order):
-            hit = extensions._max_survival(b, s)
-            got = None if hit is None else (hit[0], [g.coords for g in hit[1]])
+            level = extensions._survival_level(
+                b.exponents_at(s.prime), s.sub.exponents_at(s.prime), s.quotient_exponents[::-1]
+            )
+            got = None if level is None else (level, [g.coords for g in extensions._witness(b, s, level)])
             assert got == _per_level_survival(b, s, *searches), (s, b)
             levels.add(got[0] if got else None)
             checked += 1
@@ -324,15 +326,19 @@ def test_pruned_level_scan_matches_every_partition():
 
 
 def _deep_saturation_grid():
-    # subs of order up to l^6 under every exponent set inside 1..6, the empty one
-    # included, log_l |B| <= 16 (12 for l = 5)
+    # each sub of order up to l^6 under each exponent set inside 1..6, the empty one
+    # included, with log_l |B| <= 16, taken once: the level table reads only the types,
+    # so the prime cycles over 2, 3 and 5 instead of repeating every pair per prime
     exponent_sets = [c for k in range(7) for c in itertools.combinations(range(1, 7), k)]
-    for prime, top in ((2, 16), (3, 16), (5, 12)):
-        for size in range(7):
-            for mu in partitions_desc(size):
-                for exps in exponent_sets:
-                    if size + sum(exps) <= top:
-                        yield spec(prime, G.from_prime_exponents(prime, mu), exps)
+    pairs = [
+        (mu, exps)
+        for size in range(7)
+        for mu in partitions_desc(size)
+        for exps in exponent_sets
+        if size + sum(exps) <= 16
+    ]
+    for (mu, exps), prime in zip(pairs, itertools.cycle((2, 3, 5))):
+        yield spec(prime, G.from_prime_exponents(prime, mu), exps)
 
 
 def test_closed_form_saturation_matches_the_level_table():
@@ -345,7 +351,8 @@ def test_closed_form_saturation_matches_the_level_table():
         rank, n = len(s.sub.factor_orders), len(s.quotient_exponents)
         branches.add("trivial" if rank == 0 else "n >= r" if n >= rank else "n < r")
     assert branches == {"trivial", "n >= r", "n < r"}
-    assert len(specs) == 86 + 2954
+    assert {s.prime for s in specs} == {2, 3, 5}
+    assert len(specs) == 86 + 1170
 
 
 def test_level_scan_work_guard(monkeypatch):
@@ -664,6 +671,96 @@ def test_diagram_consistency_guard():
         verify_diagram(3, G(2), spec(2, G(2), [1, 2]), n=1)
     with pytest.raises(ValueError):
         verify_diagram(2, G(2), spec(2, G(2), [1, 2]), n=0)
+
+
+def _inside_multiple(witness, mult) -> bool:
+    return extensions._outside_multiple(witness, mult) is None
+
+
+def _depth(b, prime, n) -> int:
+    return prime ** min(n, max(b.exponents_at(prime), default=0))
+
+
+def test_diagram_verdict_is_the_type_rule():
+    # with s the saturation level, the canonical B passes exactly when the sub is
+    # trivial or n <= s, and a model of level L exactly when the sub is trivial or
+    # L = s and n <= s.  Each pass is re-checked on its witness; each failure is named
+    # by the element-level code, which raises if the witness passes after all.
+    checked = 0
+    for s in _deep_saturation_grid():
+        sat, trivial = extensions._saturation(s), s.sub.is_trivial
+        b, witness = canonical_extension_with_witness(s)
+        for n in range(1, sat + 3):
+            check = verify_diagram(s.prime, s.sub, s, n, bound=s.total_order)
+            assert check.passed == (trivial or n <= sat), (s, n)
+            if check:
+                assert _inside_multiple(witness, s.prime ** sat), (s, n)
+                assert _inside_multiple(witness, _depth(b, s.prime, n)), (s, n)
+            checked += 1
+    assert checked == 4775
+    # every type of the forced order as a model, at |B| <= 256
+    models, outcomes = 0, set()
+    for s in _deep_saturation_grid():
+        if s.total_order > 256:
+            continue
+        table = dict(extensions._survival_levels(s))
+        sat, trivial = max(table.values()), s.sub.is_trivial
+        for lam in partitions_desc(sum(s.sub.exponents_at(s.prime)) + sum(s.quotient_exponents)):
+            b = G.from_prime_exponents(s.prime, lam)
+            level = table.get(lam)
+            witness = None if level is None else extensions._witness(b, s, level)
+            for n in range(1, sat + 3):
+                check = verify_diagram(s.prime, s.sub, s, n, model=b, bound=s.total_order)
+                rule = level is not None and (trivial or (level == sat and n <= sat))
+                assert check.passed == rule, (s, lam, n)
+                if check:
+                    assert _inside_multiple(witness, s.prime ** sat), (s, lam, n)
+                    assert _inside_multiple(witness, _depth(b, s.prime, n)), (s, lam, n)
+                outcomes.add(check.reason and check.reason.split()[0])
+                models += 1
+    assert models == 3438
+    assert outcomes == {None, "model", "sub", "socle"}
+
+
+def test_passing_diagram_checks_build_no_group(monkeypatch):
+    # a passing check is decided from the types: it builds neither the canonical
+    # extension nor a model's witness
+    passing = []
+    for prime, sub, exps in BENCHMARK_GRID:
+        s = spec(prime, sub, exps)
+        sat = extensions._saturation(s)
+        models = [None] + [
+            G.from_prime_exponents(prime, part)
+            for part, level in extensions._survival_levels(s)
+            if level == sat
+        ]
+        for model in models:
+            for n in (1, 2):
+                if verify_diagram(prime, sub, s, n, model=model, bound=4096):
+                    passing.append((s, n, model))
+
+    def refuse(*args):
+        raise AssertionError("a passing diagram check built elements")
+
+    monkeypatch.setattr(extensions, "canonical_extension_with_witness", refuse)
+    monkeypatch.setattr(extensions, "_witness", refuse)
+    for s, n, model in passing:
+        assert verify_diagram(s.prime, s.sub, s, n, model=model, bound=4096), (s, n, model)
+    assert len(passing) == 44
+
+
+def test_diagram_model_checks_reach_deep_survivors():
+    # |B| = 2^38: a search for the witness of this sub took 0.8 s to over 30 s per
+    # survivor; the types decide each passing check without one
+    sub, exps = G(2, 4, 8, 16), (1, 2, 3, 4, 5, 6, 7)
+    s = spec(2, sub, exps)
+    survivors = [part for part, level in extensions._survival_levels(s) if level == 4]
+    assert extensions._saturation(s) == 4 and len(survivors) == 16
+    start = time.perf_counter()
+    for part in survivors:
+        model = G.from_prime_exponents(2, part)
+        assert verify_diagram(2, sub, s, 4, model=model, bound=2 ** 40), part
+    assert time.perf_counter() - start < 1.0
 
 
 # -- element-level dual model as the oracle of verify_diagram -------------------------

@@ -530,14 +530,16 @@ def test_genus_theory_two_rank_of_structure():
         assert _genus_two_rank_holds(d), d
 
 
+_RIGHT_COMPOSE = quadfields._compose
+
+
 def _count_compose_calls(monkeypatch, d: int) -> tuple[int, int]:
     calls = 0
-    compose_ = quadfields._compose
 
     def counted(f, g, d):
         nonlocal calls
         calls += 1
-        return compose_(f, g, d)
+        return _RIGHT_COMPOSE(f, g, d)
 
     monkeypatch.setattr(quadfields, "_compose", counted)
     return class_group(d).order, calls
@@ -552,9 +554,10 @@ def test_class_group_compose_work(monkeypatch):
     # h = 4 * 2609: the Sylow 2609-subgroup is read from one power, not spanned class by class
     h, calls = _count_compose_calls(monkeypatch, -82360599)
     assert h == 10436 and calls <= 200
-
-
-_RIGHT_COMPOSE = quadfields._compose
+    # every fundamental |D| < 3000 takes 19 588: a power stops squaring at its top bit,
+    # and the principal form, whose image is the identity, is never raised to a power
+    total = sum(_count_compose_calls(monkeypatch, d)[1] for d in fundamental_discriminants(3000))
+    assert total <= 20000
 
 
 def _wrong_identity(f, g, d):
