@@ -7,7 +7,13 @@ class group here called the split group.  Deciding that subgroup in general
 is outside this library's scope: it is resolved from data instead, with a
 builtin table covering the ten class-number-two discriminants known to have
 split group Z/2, a forced-trivial rule for class number one, and optional
-user-supplied entries.
+user-supplied entries.  A resolved group must embed into the class group,
+and that is decided from the class number h where it can be: a p-part Z/p
+embeds when p divides h (Cauchy's theorem), a p-part of order above the
+p-part of h never does, and only the remaining cases read one Sylow
+p-subgroup by composition.  A field of prime class number p, whose type is
+1 or Z/p, is thus classified with no composition at all; the full class
+group structure is built only to word a ContainmentError.
 
 Global function fields are compared through the analogous invariant triple:
 characteristic, the prime-to-p part of the constant field exponent, and the
@@ -17,7 +23,7 @@ prime-to-p part of the degree-zero class group.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .arith import isprime
 from .errors import (
@@ -29,7 +35,7 @@ from .errors import (
     exit_code_for,
 )
 from .finabelian import FiniteAbelianGroup, _Record, embeds_in, group_literal
-from .quadfields import ClassGroup, class_group
+from .quadfields import Triple, _reduced_triples, _sylow_exponents, class_group
 
 EXCLUDED_DISCRIMINANTS = (-4, -8)
 
@@ -73,26 +79,56 @@ class SplitTable(_Record):
         return None
 
 
-def resolve_split_data(cg: ClassGroup, table: SplitTable | None = None) -> SplitData:
+def resolve_split_data(
+    discriminant: int, forms: Sequence[Triple], table: SplitTable | None = None
+) -> SplitData:
     """Resolve the split group: forced-trivial, then user entry, then builtin.
 
-    A resolved group must embed into the class group (its invariant factors
-    divide factorwise); violations raise ContainmentError.
+    `forms` is the sorted reduced-form listing of the discriminant; its
+    length is the class number h.  A resolved group S must embed into the
+    class group, otherwise ContainmentError.  That is decided prime by
+    prime of S, with p^v exactly dividing h:
+    - a p-part S_p of order above p^v does not embed (nor, so, does any
+      S_p with p not dividing h);
+    - S_p = Z/p embeds whenever p divides h (Cauchy's theorem);
+    - any other S_p embeds when the exponents of the class group's Sylow
+      p-subgroup, read by composition, dominate its own.
+    A field of prime class number thus needs no composition for the split
+    groups 1 and Z/p.  The full class group structure is built only to word
+    the ContainmentError.
     """
-    if cg.order == 1:
+    h = len(forms)
+    if h == 1:
         return SplitData(SplitSource.FORCED_TRIVIAL, FiniteAbelianGroup())
-    data = (table or SplitTable()).lookup(cg.discriminant)
+    data = (table or SplitTable()).lookup(discriminant)
     if data is None:
         raise SplitDataUnavailable(
-            f"no split data for discriminant {cg.discriminant}; "
+            f"no split data for discriminant {discriminant}; "
             "supply a table entry or use a discriminant with class number 1"
         )
-    if not embeds_in(data.group, cg.structure):
+    if not _embeds_in_class_group(data.group, forms, discriminant):
         raise ContainmentError(
             f"split group {group_literal(data.group)} does not embed into the "
-            f"class group {group_literal(cg.structure)} of {cg.discriminant}"
+            f"class group {group_literal(class_group(discriminant).structure)} of {discriminant}"
         )
     return data
+
+
+def _embeds_in_class_group(split: FiniteAbelianGroup, forms: Sequence[Triple], d: int) -> bool:
+    """True iff split embeds into the class group of d, listed by forms; see resolve_split_data."""
+    h = len(forms)
+    for p, exps in split.primary.items():
+        v = 0
+        while h % p ** (v + 1) == 0:
+            v += 1
+        if sum(exps) > v:  # |S_p| > p^v, also when p does not divide h
+            return False
+        if exps != (1,) and not embeds_in(
+            FiniteAbelianGroup.from_prime_exponents(p, exps),
+            FiniteAbelianGroup.from_prime_exponents(p, _sylow_exponents(forms, p, v, d)),
+        ):
+            return False
+    return True
 
 
 class GaloisAbelianType(_Record):
@@ -150,10 +186,10 @@ def classify_field(
             f"discriminant {discriminant} is excluded: no type is assigned to "
             "the Gaussian and 2-adic-ramified quadratic fields"
         )
-    cg = class_group(discriminant)
-    split = resolve_split_data(cg, table)
+    forms = _reduced_triples(discriminant)
+    split = resolve_split_data(discriminant, forms, table)
     return FieldClassification(
-        discriminant, cg.order, split, GaloisAbelianType(split.group)
+        discriminant, len(forms), split, GaloisAbelianType(split.group)
     )
 
 

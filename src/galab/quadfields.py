@@ -16,7 +16,7 @@ span it, and it holds only p^e classes.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from math import gcd, isqrt
 
 from .arith import _primes_below, factorint, sqrt_mod
@@ -292,61 +292,62 @@ class ClassGroup(_Record):
 def class_group(d: int) -> ClassGroup:
     """Class group of a fundamental discriminant, structure included.
 
-    For each p^e exactly dividing h, f -> f^(h/p^e) maps the class group onto
-    its Sylow p-subgroup S.  For e = 1, S is Z/p: the first listed form whose
-    image g is not the identity gives the p-part, once g^p is checked to be
-    the identity.  For e >= 2, the images of the forms, taken in sorted order
-    until they span p^e classes, generate S, and the p-part is read off the
-    sizes |p^k S| = |S| / |S[p^k]|, where p^k S is spanned by the p^k-th
-    powers of those generators.  The listing must start with the principal
-    form, and composition is checked on the way: an e = 1 image must exist
-    and have order p, an e >= 2 span must reach exactly p^e, every socle
-    count must be a power of p, and the structure's order must be h;
-    otherwise ArithmeticError.
+    Each Sylow p-subgroup is read by `_sylow_exponents`, which checks
+    composition on the way; the structure's order must then be h, otherwise
+    ArithmeticError.
     """
     forms = tuple(_reduced_triples(d))
+    _principal_first(forms, d)  # also for h = 1, which has no Sylow part to read
     h = len(forms)
-    identity = _principal(d)
-    if forms[:1] != (identity,):
-        raise ArithmeticError("the sorted reduced forms do not start with the principal form")
-    primary: dict[int, list[int]] = {}
-    for p, e in factorint(h).items():
-        if e == 1:
-            _check_prime_order(forms, h // p, p, identity, d)
-            primary[p] = [1]
-            continue
-        q = p**e
-        # forms[0] is the principal form, whose image adds nothing to the span
-        sylow, gens = _span((_power(f, h // q, d) for f in forms[1:]), identity, q, d)
-        if len(sylow) != q:
-            raise ArithmeticError("Sylow span falls short of its order; composition is broken")
-        primary[p] = _p_group_exponents(gens, identity, p, e, d)
+    primary = {p: _sylow_exponents(forms, p, e, d) for p, e in factorint(h).items()}
     structure = FiniteAbelianGroup._from_primary(primary)
     if structure.order != h:
         raise ArithmeticError("structure order disagrees with the class number")
     return ClassGroup(d, forms, structure)
 
 
-def _check_prime_order(
-    forms: tuple[Triple, ...], cofactor: int, p: int, identity: Triple, d: int
-) -> None:
-    """Check that the first image f^cofactor other than the identity has order p.
+def _principal_first(forms: Sequence[Triple], d: int) -> Triple:
+    """The principal form, once checked to head the sorted listing; else ArithmeticError."""
+    identity = _principal(d)
+    if not forms or forms[0] != identity:
+        raise ArithmeticError("the sorted reduced forms do not start with the principal form")
+    return identity
 
-    With h = cofactor * p and p prime to cofactor, such an image spans the
-    Sylow p-subgroup Z/p.  Raises ArithmeticError if every image is the
-    identity or the first one that is not fails g^p = identity.  The
-    search starts at forms[1]: forms[0] is the principal form, whose image
-    is the identity.
+
+def _sylow_exponents(forms: Sequence[Triple], p: int, e: int, d: int) -> list[int]:
+    """Cyclic exponents, ascending, of the Sylow p-subgroup S, p^e exactly dividing h.
+
+    f -> f^(h/p^e) maps the class group, listed by `forms`, onto S.  For
+    e = 1, S is Z/p: the first listed form whose image g is not the identity
+    gives it, once g^p is checked to be the identity.  For e >= 2, the
+    images of the forms, taken in sorted order until they span p^e classes,
+    generate S, and its exponents are read off the sizes
+    |p^k S| = |S| / |S[p^k]|, where p^k S is spanned by the p^k-th powers of
+    those generators.  The listing must start with the principal form, and
+    composition is checked on the way: an e = 1 image must exist and have
+    order p, an e >= 2 span must reach exactly p^e, and every socle count
+    must be a power of p; otherwise ArithmeticError.
     """
-    for f in forms[1:]:
-        g = _power(f, cofactor, d)
-        if g != identity:
-            if _power(g, p, d) != identity:
-                raise ArithmeticError(
-                    f"the image g = f^(h/{p}) != 1 has g^{p} != 1; composition is broken"
-                )
-            return
-    raise ArithmeticError(f"no class of order {p} although {p} divides h; composition is broken")
+    identity = _principal_first(forms, d)
+    h = len(forms)
+    # forms[0] is the principal form, whose image is the identity
+    if e == 1:
+        for f in forms[1:]:
+            g = _power(f, h // p, d)
+            if g != identity:
+                if _power(g, p, d) != identity:
+                    raise ArithmeticError(
+                        f"the image g = f^(h/{p}) != 1 has g^{p} != 1; composition is broken"
+                    )
+                return [1]
+        raise ArithmeticError(
+            f"no class of order {p} although {p} divides h; composition is broken"
+        )
+    q = p**e
+    sylow, gens = _span((_power(f, h // q, d) for f in forms[1:]), identity, q, d)
+    if len(sylow) != q:
+        raise ArithmeticError("Sylow span falls short of its order; composition is broken")
+    return _p_group_exponents(gens, identity, p, e, d)
 
 
 def _span(

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import galab
+from galab import quadfields
+from galab.arith import factorint
 from galab.classifier import (
     SPLIT_TABLE_DISCRIMINANTS,
     FunctionFieldInput,
@@ -23,6 +25,7 @@ from galab.classifier import (
     classify_field,
     function_field_isomorphic,
     function_field_type,
+    resolve_split_data,
     types_isomorphic,
 )
 from galab.descriptors import ProfiniteDescriptor
@@ -33,8 +36,8 @@ from galab.errors import (
     NotFundamental,
     SplitDataUnavailable,
 )
-from galab.finabelian import FiniteAbelianGroup
-from galab.quadfields import class_number, fundamental_discriminants
+from galab.finabelian import FiniteAbelianGroup, embeds_in, group_literal, parse_group_literal
+from galab.quadfields import class_group, class_number, fundamental_discriminants
 
 G = FiniteAbelianGroup
 
@@ -175,6 +178,107 @@ def test_builtin_table_is_the_odd_class_number_two_fields_five_mod_eight():
     assert (len(two), min(two)) == (18, -427)
     assert [d for d in two if d % 8 == 5] == list(SPLIT_TABLE_DISCRIMINANTS)
     assert [d for d in two if d % 2 and d % 8 != 5] == [-15]
+
+
+_RIGHT_COMPOSE = quadfields._compose
+
+
+def _compositions(monkeypatch, fn, *args):
+    """fn(*args) and the number of form compositions it made."""
+    calls = 0
+
+    def counted(f, g, d):
+        nonlocal calls
+        calls += 1
+        return _RIGHT_COMPOSE(f, g, d)
+
+    monkeypatch.setattr(quadfields, "_compose", counted)
+    return fn(*args), calls
+
+
+# p not dividing h, e = 1 and e >= 2, cyclic and non-cyclic p-parts, mixed primes
+_ORACLE_LITERALS = ("1", "2", "3", "4", "2,2", "2,4", "8", "9", "3,3", "6", "5", "12", "2,2,2")
+
+
+def test_containment_matches_the_class_group_structure():
+    # oracle: the decision from h and Sylow parts agrees with embeds_in on the full
+    # structure, and a refusal words that full structure
+    outcomes = {literal: set() for literal in _ORACLE_LITERALS}
+    for d in fundamental_discriminants(5000):
+        cg = class_group(d)
+        if cg.order == 1:
+            continue
+        for literal in _ORACLE_LITERALS:
+            split = parse_group_literal(literal)
+            table = SplitTable(user={d: split})
+            embeds = embeds_in(split, cg.structure)
+            outcomes[literal].add(embeds)
+            if embeds:
+                assert resolve_split_data(d, cg.forms, table).group == split, (d, literal)
+                continue
+            with pytest.raises(ContainmentError) as info:
+                resolve_split_data(d, cg.forms, table)
+            assert str(info.value) == (
+                f"split group {group_literal(split)} does not embed into the class group "
+                f"{group_literal(cg.structure)} of {d}"
+            )
+    assert outcomes.pop("1") == {True}
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
+
+
+def test_trivial_and_prime_order_splits_make_no_composition(monkeypatch):
+    # work guard: 1 and Z/p are decided from the class number alone
+    table = {}
+    for i, d in enumerate(fundamental_discriminants(3000)):
+        h = class_number(d)
+        if h > 1:
+            table[d] = G(max(factorint(h))) if i % 2 else G()
+    assert len(set(table.values())) > 10
+    part, calls = _compositions(
+        monkeypatch, classify_batch, fundamental_discriminants(3000), SplitTable(user=table)
+    )
+    assert [e.discriminant for e in part.errors] == [-4, -8]
+    assert calls == 0
+
+
+def test_a_prime_power_split_reads_only_its_sylow_part(monkeypatch):
+    # h = 12 with Z/4 + Z/3 or Z/2 + Z/2 + Z/3: the 2-part is read, the 3-part is not
+    checked = set()
+    for d in (-231, -255, -327, -356):
+        cg = class_group(d)
+        assert cg.order == 12
+        split = G(4) if cg.structure == G(4, 3) else G(2, 2)
+        checked.add(split)
+        fc, calls = _compositions(monkeypatch, classify_field, d, SplitTable(user={d: split}))
+        _, full = _compositions(monkeypatch, class_group, d)
+        assert fc.abelian_type.split_group == split
+        assert 0 < calls < full, (d, calls, full)
+    assert checked == {G(4), G(2, 2)}
+
+
+def test_prime_class_number_fields_have_exactly_two_types(monkeypatch):
+    # the abstract: a field of prime class number p has type 1 or Z/p, and the two
+    # differ.  The lists below are complete (see the counts pinned in test_quadfields)
+    counts = {}
+    for d in fundamental_discriminants(6000):
+        p = class_number(d)
+        if p not in (2, 3, 5, 7):
+            continue
+        counts[p] = counts.get(p, 0) + 1
+        q = 3 if p == 2 else 2
+        accepted = []
+        for split in (G(), G(p), G(p * p), G(p, p), G(q)):
+            try:
+                fc, calls = _compositions(
+                    monkeypatch, classify_field, d, SplitTable(user={d: split})
+                )
+            except ContainmentError:
+                continue
+            assert calls == 0, (d, split)
+            accepted.append(fc.abelian_type)
+        assert [t.split_group for t in accepted] == [G(), G(p)], d
+        assert not types_isomorphic(*accepted)
+    assert counts == {2: 18, 3: 16, 5: 25, 7: 31}
 
 
 # -- batches ---------------------------------------------------------------------
