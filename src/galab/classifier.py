@@ -11,9 +11,11 @@ user-supplied entries.  A resolved group must embed into the class group,
 and that is decided from the class number h where it can be: a p-part Z/p
 embeds when p divides h (Cauchy's theorem), a p-part of order above the
 p-part of h never does, and only the remaining cases read one Sylow
-p-subgroup by composition.  A field of prime class number p, whose type is
-1 or Z/p, is thus classified with no composition at all; the full class
-group structure is built only to word a ContainmentError.
+p-subgroup by composition.  h itself is counted (`quadfields.class_number`),
+not listed: the reduced forms are listed only to read such a Sylow part or
+to word a ContainmentError with the full class group structure.  A field of
+prime class number p, whose type is 1 or Z/p, is thus classified with no
+listing and no composition at all.
 
 Global function fields are compared through the analogous invariant triple:
 characteristic, the prime-to-p part of the constant field exponent, and the
@@ -23,7 +25,7 @@ prime-to-p part of the degree-zero class group.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .arith import isprime
 from .errors import (
@@ -35,7 +37,7 @@ from .errors import (
     exit_code_for,
 )
 from .finabelian import FiniteAbelianGroup, _Record, embeds_in, group_literal
-from .quadfields import Triple, _reduced_triples, _sylow_exponents, class_group
+from .quadfields import _reduced_triples, _structure, _sylow_exponents, class_number
 
 EXCLUDED_DISCRIMINANTS = (-4, -8)
 
@@ -80,24 +82,23 @@ class SplitTable(_Record):
 
 
 def resolve_split_data(
-    discriminant: int, forms: Sequence[Triple], table: SplitTable | None = None
+    discriminant: int, h: int, table: SplitTable | None = None
 ) -> SplitData:
     """Resolve the split group: forced-trivial, then user entry, then builtin.
 
-    `forms` is the sorted reduced-form listing of the discriminant; its
-    length is the class number h.  A resolved group S must embed into the
-    class group, otherwise ContainmentError.  That is decided prime by
-    prime of S, with p^v exactly dividing h:
+    `h` is the class number of the discriminant.  A resolved group S must
+    embed into the class group, otherwise ContainmentError.  That is decided
+    prime by prime of S, with p^v exactly dividing h:
     - a p-part S_p of order above p^v does not embed (nor, so, does any
       S_p with p not dividing h);
     - S_p = Z/p embeds whenever p divides h (Cauchy's theorem);
     - any other S_p embeds when the exponents of the class group's Sylow
       p-subgroup, read by composition, dominate its own.
-    A field of prime class number thus needs no composition for the split
-    groups 1 and Z/p.  The full class group structure is built only to word
-    the ContainmentError.
+    The reduced forms are listed only for such a Sylow read or to word the
+    ContainmentError, which prints the full class group structure, and at
+    most once.  A field of prime class number thus needs neither the
+    listing nor a composition for the split groups 1 and Z/p.
     """
-    h = len(forms)
     if h == 1:
         return SplitData(SplitSource.FORCED_TRIVIAL, FiniteAbelianGroup())
     data = (table or SplitTable()).lookup(discriminant)
@@ -106,29 +107,33 @@ def resolve_split_data(
             f"no split data for discriminant {discriminant}; "
             "supply a table entry or use a discriminant with class number 1"
         )
-    if not _embeds_in_class_group(data.group, forms, discriminant):
-        raise ContainmentError(
-            f"split group {group_literal(data.group)} does not embed into the "
-            f"class group {group_literal(class_group(discriminant).structure)} of {discriminant}"
-        )
+    _require_embedding(data.group, h, discriminant)
     return data
 
 
-def _embeds_in_class_group(split: FiniteAbelianGroup, forms: Sequence[Triple], d: int) -> bool:
-    """True iff split embeds into the class group of d, listed by forms; see resolve_split_data."""
-    h = len(forms)
+def _require_embedding(split: FiniteAbelianGroup, h: int, d: int) -> None:
+    """Raise ContainmentError unless split embeds into the class group of d; see resolve_split_data."""
+    forms = None  # listed for the first Sylow part that must be read
     for p, exps in split.primary.items():
         v = 0
         while h % p ** (v + 1) == 0:
             v += 1
         if sum(exps) > v:  # |S_p| > p^v, also when p does not divide h
-            return False
-        if exps != (1,) and not embeds_in(
-            FiniteAbelianGroup.from_prime_exponents(p, exps),
-            FiniteAbelianGroup.from_prime_exponents(p, _sylow_exponents(forms, p, v, d)),
-        ):
-            return False
-    return True
+            break
+        if exps != (1,):
+            forms = forms or _reduced_triples(d)
+            if not embeds_in(
+                FiniteAbelianGroup.from_prime_exponents(p, exps),
+                FiniteAbelianGroup.from_prime_exponents(p, _sylow_exponents(forms, p, v, d)),
+            ):
+                break
+    else:
+        return
+    structure = _structure(forms or _reduced_triples(d), d)
+    raise ContainmentError(
+        f"split group {group_literal(split)} does not embed into the "
+        f"class group {group_literal(structure)} of {d}"
+    )
 
 
 class GaloisAbelianType(_Record):
@@ -186,11 +191,9 @@ def classify_field(
             f"discriminant {discriminant} is excluded: no type is assigned to "
             "the Gaussian and 2-adic-ramified quadratic fields"
         )
-    forms = _reduced_triples(discriminant)
-    split = resolve_split_data(discriminant, forms, table)
-    return FieldClassification(
-        discriminant, len(forms), split, GaloisAbelianType(split.group)
-    )
+    h = class_number(discriminant)
+    split = resolve_split_data(discriminant, h, table)
+    return FieldClassification(discriminant, h, split, GaloisAbelianType(split.group))
 
 
 def types_isomorphic(t1: GaloisAbelianType, t2: GaloisAbelianType) -> bool:

@@ -86,38 +86,46 @@ def _read_lines(path: str) -> list[tuple[int, str]]:
 def load_split_table(path: str) -> SplitTable:
     """Parse a split-table file: one "discriminant: group literal" per line.
 
-    Braces and trailing commas are tolerated so a single-entry "{-35: 2}"
-    document parses too.  Each distinct literal is parsed once.  Errors
-    report the offending line number; a repeated discriminant names both.
+    Blank lines and lines starting with "#" are skipped.  Braces and
+    trailing commas are tolerated so a single-entry "{-35: 2}" document
+    parses too.  Each distinct literal is parsed once.  Errors report the
+    offending line number; a repeated discriminant names both.
     """
     user: dict[int, FiniteAbelianGroup] = {}
     lines: dict[int, int] = {}  # discriminant -> line that gave it
-    groups: dict[str, FiniteAbelianGroup] = {}  # literal text -> parsed group
-    for lineno, line in _read_lines(path):
-        entry = line.strip().lstrip("{").rstrip("}").strip().rstrip(",").strip()
-        if not entry:
+    groups: dict[str, FiniteAbelianGroup] = {}  # literal text as written -> parsed group
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        entry = line.strip()
+        if not entry or entry[0] == "#":
             continue
-        if ":" not in entry:
+        if entry[0] == "{" or entry[-1] in "},":
+            entry = entry.lstrip("{").rstrip("}").strip().rstrip(",").strip()
+            if not entry:
+                continue
+        disc_text, colon, group_text = entry.partition(":")
+        if not colon:
             raise FormatError(f"{path} line {lineno}: expected 'discriminant: group'")
-        disc_text, _, group_text = entry.partition(":")
         try:
-            disc = int(disc_text.strip())
+            disc = int(disc_text)  # int() skips padding as str.strip() does, but for "\x1f"
         except ValueError:
-            raise FormatError(
-                f"{path} line {lineno}: bad discriminant {disc_text.strip()!r}"
-            ) from None
+            try:
+                disc = int(disc_text.strip())
+            except ValueError:
+                raise FormatError(
+                    f"{path} line {lineno}: bad discriminant {disc_text.strip()!r}"
+                ) from None
         if disc in lines:
             raise FormatError(
                 f"{path} line {lineno}: discriminant {disc} already given on line {lines[disc]}"
             )
         lines[disc] = lineno
-        group_text = group_text.strip()
-        if group_text not in groups:
+        group = groups.get(group_text)
+        if group is None:
             try:
-                groups[group_text] = parse_group_literal(group_text)
+                group = groups[group_text] = parse_group_literal(group_text.strip())
             except ValueError as exc:
                 raise FormatError(f"{path} line {lineno}: {exc}") from None
-        user[disc] = groups[group_text]
+        user[disc] = group
     return SplitTable(user=user)
 
 

@@ -4,9 +4,12 @@ Reduced positive-definite forms of a fundamental discriminant represent the
 ideal classes of the maximal order.  They are listed by a walk over the a
 with no inert prime factor, each a's square roots of D modulo 4a joined by
 CRT from its parent's (Cohen, A Course in Computational Algebraic Number
-Theory, §1.5 and §5.3), so the listing costs about sqrt|D| steps.  Classes
-compose by Shanks' composition (Cohen, Algorithm 5.4.7) followed by
-reduction.  The arithmetic runs on plain (a, b, c) triples;
+Theory, §1.5 and §5.3), so the listing costs about sqrt|D| steps.  The
+class number is counted by the same walk with no form kept: while
+4a^2 < |D|, each a carries one form per b mod 2a with b^2 = D (mod 4a),
+a number that Legendre symbols give (`class_number`).  Classes compose by
+Shanks' composition (Cohen, Algorithm 5.4.7) followed by reduction.  The
+arithmetic runs on plain (a, b, c) triples;
 `BinaryQuadraticForm` objects are built only by the public functions and
 `ClassGroup.representatives`. The class group structure is read off each
 Sylow p-subgroup, the image of f -> f^(h/p^e).  For p exactly dividing h it
@@ -122,22 +125,59 @@ def reduce_form(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(*_reduce(f.a, f.b, f.c, f.discriminant()))
 
 
-def _reduced_triples(d: int) -> list[Triple]:
-    """The reduced forms of a fundamental discriminant as sorted triples; see reduced_forms."""
+def _require_enumerable(d: int) -> int:
+    """d, once checked to be fundamental and then to be within MAX_ENUMERATED_DISCRIMINANT."""
     dv = _require_fundamental(d)
     if -dv > MAX_ENUMERATED_DISCRIMINANT:
         raise BoundExceeded(
             f"|D| = {-dv} exceeds {MAX_ENUMERATED_DISCRIMINANT}, the largest "
             "discriminant whose reduced forms are enumerated"
         )
-    amax = isqrt(-dv // 3)
-    # walk entries (a, the b mod 2a with b^2 = D (mod 4a), index into powers of the next
-    # prime); the walk starts at each 2^v, whose b mod 2^(v+1) are lifted bit by bit
-    stack, roots, v = [], [dv % 2], 0
+    return dv
+
+
+def _two_adic_roots(dv: int, amax: int) -> list[list[int]]:
+    """Entry v: the b mod 2^(v+1) with b^2 = D (mod 2^(v+2)), for each 2^v <= amax that has one.
+
+    The roots are lifted bit by bit: each root mod 2^v gives the candidates
+    r and r + 2^v mod 2^(v+1).
+    """
+    out, roots, v = [], [dv % 2], 0
     while roots and 1 << v <= amax:
-        stack.append((1 << v, roots, 0))
+        out.append(roots)
         v += 1
         roots = [r for s in roots for r in (s, s + (1 << v)) if (r * r - dv) % (4 << v) == 0]
+    return out
+
+
+def _reduced_from(roots: Iterable[tuple[int, list[int] | None]], dv: int) -> list[Triple]:
+    """The reduced forms (a, b, c), for each (a, the b mod 2a with b^2 = D (mod 4a)) in turn.
+
+    The forms of one a come by ascending b.
+    """
+    out = []
+    for a, residues in roots:
+        if residues:
+            for b in sorted([r if r <= a else r - 2 * a for r in residues]):  # -a < b <= a
+                c = (b * b - dv) // (4 * a)
+                if c > a or (c == a and b >= 0):
+                    out.append((a, b, c))
+    return out
+
+
+def _lift(residues: list[int], modulus: int, q: int, roots: list[int]) -> list[int]:
+    """CRT: the x mod modulus * q with x in residues mod modulus and in roots mod q."""
+    inv = pow(modulus, -1, q)
+    return [r + modulus * ((s - r) * inv % q) for r in residues for s in roots]
+
+
+def _reduced_triples(d: int) -> list[Triple]:
+    """The reduced forms of a fundamental discriminant as sorted triples; see reduced_forms."""
+    dv = _require_enumerable(d)
+    amax = isqrt(-dv // 3)
+    # walk entries (a, the b mod 2a with b^2 = D (mod 4a), index into powers of the next
+    # prime); the walk starts at each 2^v
+    stack = [(1 << v, roots, 0) for v, roots in enumerate(_two_adic_roots(dv, amax))]
     # per odd prime that is not inert, its powers q <= amax with the roots of D mod q;
     # a p | D has the root 0, to the first power only, since D is fundamental
     powers = []
@@ -161,17 +201,11 @@ def _reduced_triples(d: int) -> list[Triple]:
             for q, roots in powers[j]:
                 if a * q > amax:
                     break
+                # `_lift`, inline: a call per node costs the listing about 3 %
                 inv = pow(modulus, -1, q)
                 children = [r + modulus * ((s - r) * inv % q) for r in residues for s in roots]
                 stack.append((a * q, children, j + 1))
-    out = []
-    for a, residues in enumerate(slots):
-        if residues:
-            for b in sorted([r if r <= a else r - 2 * a for r in residues]):  # -a < b <= a
-                c = (b * b - dv) // (4 * a)
-                if c > a or (c == a and b >= 0):
-                    out.append((a, b, c))
-    return out
+    return _reduced_from(enumerate(slots), dv)
 
 
 def reduced_forms(d: int) -> list[BinaryQuadraticForm]:
@@ -192,7 +226,80 @@ def reduced_forms(d: int) -> list[BinaryQuadraticForm]:
 
 
 def class_number(d: int) -> int:
-    return len(_reduced_triples(d))
+    """The class number of a fundamental discriminant: its reduced forms, counted.
+
+    The reduced forms with first coefficient a are the (a, b, c) with
+    -a < b <= a, b^2 = D (mod 4a) and c = (b^2 - D)/4a, kept when c > a, or
+    c = a and b >= 0.  While 4a^2 < |D|, every such b has c >= |D|/4a > a, so a
+    carries exactly rho(a) forms, rho(a) being the number of b mod 2a with
+    b^2 = D (mod 4a).  By CRT, rho is multiplicative: rho(2^v) is the number
+    of roots `_two_adic_roots` lifts, an odd prime power p^k with p not
+    dividing D has rho = 1 + (D/p) by Hensel's lemma, and an odd p | D has
+    rho = 1 at k = 1 and 0 above, since D is fundamental.  So the walk of
+    `reduced_forms` adds up products of these counts, with one Euler
+    criterion per odd prime p <= sqrt(|D|/3) and no roots.  Only the a of
+    the band 4a^2 >= |D| get their roots, by CRT from `sqrt_mod`, and are
+    counted by the listing's own rule, `_reduced_from`.  NotFundamental, then
+    BoundExceeded, are raised as by `reduced_forms`.
+    """
+    dv = _require_enumerable(d)
+    amax = isqrt(-dv // 3)
+    band = isqrt(-dv - 1) // 2 + 1  # the least a with 4a^2 >= |D|
+    # per odd prime that is not inert: (p, rho(p^k), its powers p^k <= amax)
+    odd = []
+    for p in _primes_below(amax + 1)[1:]:
+        if dv % p == 0:
+            odd.append((p, 1, [p]))
+        elif pow(dv, (p - 1) // 2, p) == 1:
+            qs = [p]
+            while qs[-1] * p <= amax:
+                qs.append(qs[-1] * p)
+            odd.append((p, 2, qs))
+    twos = _two_adic_roots(dv, amax)
+    h = 0
+    in_band = []  # (a, the b mod 2a with b^2 = D (mod 4a)) for each a in the band
+    # walk entries (a, rho(a), index into odd of the next prime, path to a), a path
+    # being (p, k, the parent's path), or v at the start 2^v
+    stack = []
+    for v, roots in enumerate(twos):
+        if 1 << v < band:
+            stack.append((1 << v, len(roots), 0, v))
+        else:
+            in_band.append((1 << v, roots))
+    while stack:
+        a, rho, i, path = stack.pop()
+        h += rho
+        residues = None  # a's roots, built for its first child in the band
+        for j in range(i, len(odd)):
+            p, rho_p, qs = odd[j]
+            if a * p > amax:
+                break
+            for k, q in enumerate(qs, 1):
+                child = a * q
+                if child > amax:
+                    break
+                if child >= band:
+                    if residues is None:
+                        residues = _roots_along(path, twos, dv)
+                    in_band.append((child, _lift(residues, 2 * a, q, sqrt_mod(dv, p, k))))
+                elif 3 * child > amax:  # no odd prime extends it
+                    h += rho * rho_p
+                else:
+                    stack.append((child, rho * rho_p, j + 1, (p, k, path)))
+    return h + len(_reduced_from(in_band, dv))
+
+
+def _roots_along(path: tuple | int, twos: list[list[int]], dv: int) -> list[int]:
+    """The b mod 2a with b^2 = D (mod 4a), for the a that the walk of class_number reached by path."""
+    steps = []
+    while isinstance(path, tuple):
+        p, k, path = path
+        steps.append((p, k))
+    residues, modulus = twos[path], 2 << path
+    for p, k in steps:
+        residues = _lift(residues, modulus, p**k, sqrt_mod(dv, p, k))
+        modulus *= p**k
+    return residues
 
 
 def _compose(f: Triple, g: Triple, d: int) -> Triple:
@@ -297,13 +404,18 @@ def class_group(d: int) -> ClassGroup:
     ArithmeticError.
     """
     forms = tuple(_reduced_triples(d))
+    return ClassGroup(d, forms, _structure(forms, d))
+
+
+def _structure(forms: Sequence[Triple], d: int) -> FiniteAbelianGroup:
+    """The class group structure of d, whose sorted reduced forms are `forms`; see class_group."""
     _principal_first(forms, d)  # also for h = 1, which has no Sylow part to read
     h = len(forms)
     primary = {p: _sylow_exponents(forms, p, e, d) for p, e in factorint(h).items()}
     structure = FiniteAbelianGroup._from_primary(primary)
     if structure.order != h:
         raise ArithmeticError("structure order disagrees with the class number")
-    return ClassGroup(d, forms, structure)
+    return structure
 
 
 def _principal_first(forms: Sequence[Triple], d: int) -> Triple:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import galab
-from galab import quadfields
+from galab import classifier, quadfields
 from galab.arith import factorint
 from galab.classifier import (
     SPLIT_TABLE_DISCRIMINANTS,
@@ -32,6 +32,7 @@ from galab.descriptors import ProfiniteDescriptor
 from galab.errors import (
     ContainmentError,
     ExcludedField,
+    GalabError,
     InvalidCharacteristic,
     NotFundamental,
     SplitDataUnavailable,
@@ -214,10 +215,10 @@ def test_containment_matches_the_class_group_structure():
             embeds = embeds_in(split, cg.structure)
             outcomes[literal].add(embeds)
             if embeds:
-                assert resolve_split_data(d, cg.forms, table).group == split, (d, literal)
+                assert resolve_split_data(d, cg.order, table).group == split, (d, literal)
                 continue
             with pytest.raises(ContainmentError) as info:
-                resolve_split_data(d, cg.forms, table)
+                resolve_split_data(d, cg.order, table)
             assert str(info.value) == (
                 f"split group {group_literal(split)} does not embed into the class group "
                 f"{group_literal(cg.structure)} of {d}"
@@ -279,6 +280,55 @@ def test_prime_class_number_fields_have_exactly_two_types(monkeypatch):
         assert [t.split_group for t in accepted] == [G(), G(p)], d
         assert not types_isomorphic(*accepted)
     assert counts == {2: 18, 3: 16, 5: 25, 7: 31}
+
+
+_LISTING = quadfields._reduced_triples
+
+
+def _listings(monkeypatch, fn, *args):
+    """fn(*args) and the number of reduced-form listings it made, or the error it raised."""
+    calls = 0
+
+    def counted(d):
+        nonlocal calls
+        calls += 1
+        return _LISTING(d)
+
+    monkeypatch.setattr(quadfields, "_reduced_triples", counted)
+    monkeypatch.setattr(classifier, "_reduced_triples", counted)
+    try:
+        return fn(*args), calls
+    except GalabError as exc:
+        return exc, calls
+
+
+def test_trivial_and_prime_order_splits_list_no_forms(monkeypatch):
+    # work guard: the class number is counted, and 1 and Z/p need nothing more
+    table = {}
+    for i, d in enumerate(fundamental_discriminants(3000)):
+        h = class_number(d)
+        if h > 1:
+            table[d] = G(max(factorint(h))) if i % 2 else G()
+    part, calls = _listings(
+        monkeypatch, classify_batch, fundamental_discriminants(3000), SplitTable(user=table)
+    )
+    assert [e.discriminant for e in part.errors] == [-4, -8]
+    assert sum(len(c.discriminants) for c in part.cells) > 900
+    assert calls == 0
+
+
+@pytest.mark.parametrize("literal, embeds", [("4", True), ("2,2", False), ("3", False), ("8", False)])
+def test_containment_lists_the_forms_at_most_once(monkeypatch, literal, embeds):
+    # -39 has class group Z/4.  A read Sylow part (4; 2,2) and a refusal from h alone
+    # (3; 8) each list the forms once, and a refusal words the full structure from them
+    d, split = -39, parse_group_literal(literal)
+    result, calls = _listings(monkeypatch, classify_field, d, SplitTable(user={d: split}))
+    assert calls == 1
+    if embeds:
+        assert result.abelian_type.split_group == split
+    else:
+        assert type(result) is ContainmentError
+        assert str(result) == f"split group {literal} does not embed into the class group 4 of -39"
 
 
 # -- batches ---------------------------------------------------------------------

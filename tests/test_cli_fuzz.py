@@ -22,7 +22,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galab import cli
+from galab.classifier import SplitTable
 from galab.cli import main
+from galab.errors import FormatError
+from galab.finabelian import parse_group_literal
 
 SUBCOMMANDS = (
     "classgroup", "classify", "compare", "batch", "verify-uniqueness",
@@ -234,3 +237,87 @@ def test_append_lists_are_never_shared():
         lists += [vars(cli._parser().parse_args(argv))[dest] for _ in range(2)]
         assert all(values == lists[0] and len(values) == 2 for values in lists)
         assert len({id(values) for values in lists}) == 4
+
+
+# -- the split-table reader against its former two-pass body ------------------------
+
+
+def two_pass_load_split_table(path: str):
+    """Oracle: the reader as it was, a list of stripped lines first, then one strip chain each."""
+    text = cli._read_text(path)
+    stripped_lines = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            stripped_lines.append((lineno, stripped))
+    user, lines, groups = {}, {}, {}
+    for lineno, line in stripped_lines:
+        entry = line.strip().lstrip("{").rstrip("}").strip().rstrip(",").strip()
+        if not entry:
+            continue
+        if ":" not in entry:
+            raise FormatError(f"{path} line {lineno}: expected 'discriminant: group'")
+        disc_text, _, group_text = entry.partition(":")
+        try:
+            disc = int(disc_text.strip())
+        except ValueError:
+            raise FormatError(
+                f"{path} line {lineno}: bad discriminant {disc_text.strip()!r}"
+            ) from None
+        if disc in lines:
+            raise FormatError(
+                f"{path} line {lineno}: discriminant {disc} already given on line {lines[disc]}"
+            )
+        lines[disc] = lineno
+        group_text = group_text.strip()
+        if group_text not in groups:
+            try:
+                groups[group_text] = parse_group_literal(group_text)
+            except ValueError as exc:
+                raise FormatError(f"{path} line {lineno}: {exc}") from None
+        user[disc] = groups[group_text]
+    return SplitTable(user=user)
+
+
+# str.strip() drops all of these; int() drops all but "\x1f"
+pads = st.text(st.sampled_from(" \t\xa0　\x1f"), max_size=2)
+well_formed_discs = st.integers(-40, -1).map(str)  # a small pool, so discriminants repeat
+table_discs = st.one_of(
+    well_formed_discs, well_formed_discs, well_formed_discs,
+    st.sampled_from(["+7", "-1_5", "\u0663", "-3_", "_3", "x", "", "1.5", "--3", "- 3"]),
+)
+table_literals = st.one_of(
+    st.sampled_from(["1", "2", "3", "2,2", "4", "2, 3", " 6 "]),
+    st.sampled_from(["2,,3", "0", "a", "", "{2}"]),
+)
+
+
+@st.composite
+def table_lines(draw) -> str:
+    kind = draw(st.integers(0, 9))
+    if kind < 2:  # blank, comment, a bare brace or comma
+        return draw(pads) + draw(st.sampled_from(["", "# note", "#-3: 2", "{", "}", "{}", ",", "},"]))
+    disc = draw(pads) + draw(table_discs) + draw(pads)
+    group = draw(pads) + draw(table_literals) + draw(pads)
+    entry = disc + group if kind == 2 else f"{disc}:{group}"  # kind 2: no colon
+    opening = draw(st.sampled_from(["", "", "{", "{{", "{ "]))
+    closing = draw(st.sampled_from(["", "", ",", "}", "},", ",}", " ,", ", "]))
+    return draw(pads) + opening + entry + closing + draw(pads)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(table_lines(), max_size=6).map("\n".join))
+@example("\x1f-3\x1f: 2\n-5 :\t2,\n{-7: 2}")
+@example("-3: 2\n# -3: 2\n-3 : 3")
+@example("# a table\n{ -3: 2,\n\t-4 :2, 3 ,\n\n-5\xa0: 2,2 }\n")
+def test_split_table_reader_matches_the_two_pass_oracle(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "table.txt")
+        Path(path).write_text(text)
+        outcomes = []
+        for load in (cli.load_split_table, two_pass_load_split_table):
+            try:
+                outcomes.append(load(path))
+            except FormatError as exc:
+                outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]

@@ -333,6 +333,58 @@ def test_reduced_forms_at_high_powers_of_two():
     assert forms == trial_division_forms(d)
 
 
+# -- the class number, counted --------------------------------------------------
+
+
+def test_class_number_counts_the_listing():
+    # oracle: the listing.  The count of the complete prime class number lists comes
+    # from class_number; then the large panel, 2-adic depth 11 and the largest |D| allowed
+    listing = quadfields._reduced_triples
+    tally: dict[int, list[int]] = {h: [] for h in PRIME_CLASS_NUMBER_LISTS}
+    for d in fundamental_discriminants(20000):
+        h = class_number(d)
+        assert h == len(listing(d)), d
+        if h in tally:
+            tally[h].append(-d)
+    assert {h: (len(ds), max(ds)) for h, ds in tally.items()} == PRIME_CLASS_NUMBER_LISTS
+    for d in (*LARGE_PANEL, -20000015, -9999999995):
+        assert class_number(d) == len(listing(d)), d
+
+
+def test_class_number_at_the_band_edge():
+    # |D| just below 4a^2 puts a in the band, whose roots are read one by one (c = a
+    # can occur there); just above, a is counted by rho(a) alone
+    sides = {True: 0, False: 0}
+    for a in (*range(1, 60), 1000, 5000):
+        for n in range(max(3, 4 * a * a - 12), 4 * a * a + 13):
+            if is_fundamental(-n):
+                assert class_number(-n) == len(quadfields._reduced_triples(-n)), -n
+                sides[4 * a * a >= n] += 1
+    assert min(sides.values()) > 100, sides
+
+
+def test_class_number_reads_forms_only_in_the_band(monkeypatch):
+    # mechanism: the count never lists, and only an a with 4a^2 >= |D| has its roots
+    # checked one by one
+    def refused(d):
+        raise AssertionError("class_number listed the forms")
+
+    read, seen = quadfields._reduced_from, []
+
+    def counted(roots, dv):
+        roots = list(roots)
+        seen.extend(a for a, _ in roots)
+        return read(roots, dv)
+
+    monkeypatch.setattr(quadfields, "_reduced_triples", refused)
+    monkeypatch.setattr(quadfields, "_reduced_from", counted)
+    assert class_number(-47) == 5 and seen == []  # sqrt(47/3) < 4, so no a is in the band
+    d = -82360599
+    assert class_number(d) == LARGE_PANEL[d].order
+    assert seen and all(4 * a * a >= -d for a in seen)
+    assert len(seen) < isqrt(-d // 3) - isqrt(-d) // 2
+
+
 @pytest.mark.parametrize("d", sorted(LARGE_PANEL))
 def test_large_panel_forms_and_structure(d):
     cg = class_group(d)
