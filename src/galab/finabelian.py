@@ -15,8 +15,9 @@ It names witnesses, counterexamples and the generators passed to `quotient`.
 
 Subgroups are searched one prime at a time, by one routine: `l_subgroups`
 yields each copy of a given l-group type lazily, in canonical order, named
-by its canonical generators.  A subgroup of composite order is the sum of
-its l-parts.
+by its canonical generators.  It runs on bare coordinate tuples, which
+compare in that order; callers wrap them in `GroupElement` records.  A
+subgroup of composite order is the sum of its l-parts.
 """
 
 from __future__ import annotations
@@ -282,41 +283,15 @@ def power_and_socle(g: FiniteAbelianGroup, n: int) -> tuple[FiniteAbelianGroup, 
 
 
 # ---------------------------------------------------------------------------
-# Raw coordinate helpers (hot paths run on plain tuples or packed ints)
+# Subgroup enumeration and quotients
 
-
-class _Packing:
-    """Elements of a group packed into one int each.
-
-    Coordinate i sits in a bit field of fixed width w, the first coordinate
-    highest, so packed ints compare like coordinate tuples.  Each field has
-    two spare bits: `add` sums all fields at once, sets the top bit of every
-    field whose sum reached its order d_i, and subtracts d_i there.
-    """
-
-    __slots__ = ("shifts", "bias", "tops", "orders", "low", "top_bit")
-
-    def __init__(self, orders: tuple[int, ...]):
-        w = max(orders, default=1).bit_length() + 2
-        self.shifts = [w * i for i in range(len(orders) - 1, -1, -1)]
-        self.top_bit = w - 1
-        half = 1 << self.top_bit
-        self.bias = self.pack([half - d for d in orders])
-        self.tops = self.pack([half] * len(orders))
-        self.orders = self.pack(orders)
-        self.low = half - 1
-
-    def pack(self, coords: Iterable[int]) -> int:
-        return sum(c << s for c, s in zip(coords, self.shifts))
-
-    def add(self, x: int, y: int) -> int:
-        s = x + y
-        return s - ((((s + self.bias) & self.tops) >> self.top_bit) * self.low & self.orders)
+# an element as the subgroup search carries it: one residue per factor of `factor_orders`
+Coords = tuple[int, ...]
 
 
 def _extend_span(
-    current: frozenset[int], g: int, step: int, add: Callable[[int, int], int]
-) -> frozenset[int] | None:
+    current: frozenset[Coords], g: Coords, step: int, add: Callable[[Coords, Coords], Coords]
+) -> frozenset[Coords] | None:
     """The span of a subgroup `current` and g, whose order modulo `current` is `step`.
 
     None when the span has an element below g outside `current`: then g is
@@ -332,13 +307,9 @@ def _extend_span(
     return frozenset(seen)
 
 
-# ---------------------------------------------------------------------------
-# Subgroup enumeration and quotients
-
-
 def l_subgroups(
     g: FiniteAbelianGroup, prime: int, exponents: Sequence[int]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+) -> Iterator[tuple[Coords, ...]]:
     """Each subgroup of the l-part of G of type `exponents`, once, lazily, in canonical order.
 
     Yields each subgroup S as its canonical generator tuple, in ascending
@@ -368,30 +339,31 @@ def l_subgroups(
     depth = sum(want)  # |S| = l^depth
     if not embeds_in(FiniteAbelianGroup.from_prime_exponents(prime, want), g):
         return
-    packing = _Packing(orders)
-    add = packing.add
-    torsion = itertools.product(*(range(0, d, d // gcd(d, prime ** top)) for d in orders))
-    coords = {packing.pack(x): x for x in torsion}  # ascending, 0 first
-    candidates = list(coords)[1:]
-    times_l = {x: packing.pack(prime * c % d for c, d in zip(coords[x], orders)) for x in candidates}
-    level = {0: 0}  # x has order l^level[x]
+
+    def add(x: Coords, y: Coords) -> Coords:
+        return tuple(map(operator.mod, map(operator.add, x, y), orders))
+
+    # the l^top-torsion as coordinate tuples, ascending, zero first
+    zero, *candidates = itertools.product(*(range(0, d, d // gcd(d, prime ** top)) for d in orders))
+    times_l = {x: tuple([prime * c % d for c, d in zip(x, orders)]) for x in candidates}
+    level = {zero: 0}  # x has order l^level[x]
     bottom = {}  # l^(level[x] - 1) x, which spans the order-l subgroup of <x>
     for x in candidates:
         bottom[x], y, level[x] = x, times_l[x], 1
-        while y:
+        while y != zero:
             bottom[x], y, level[x] = y, times_l[y], level[x] + 1
     # roots[k][y]: the candidates x with l^k x = y, ascending.  A child x of T
     # with |<T, x>| <= l^depth has l^k x in T for k = depth - log_l |T|.
-    roots: list[dict[int, list[int]]] = [{} for _ in range(depth + 1)]
+    roots: list[dict[Coords, list[Coords]]] = [{} for _ in range(depth + 1)]
     for x in candidates:
         y = x
         for k in range(1, depth + 1):
-            y = times_l.get(y, 0)
+            y = times_l.get(y, zero)
             roots[k].setdefault(y, []).append(x)
     # cap[n] = l^(number of target parts >= n) bounds |T[l^n]| / |T[l^(n-1)]|
     cap = [prime ** sum(1 for e in want if e >= n) for n in range(top + 1)]
 
-    def fits(span: frozenset[int]) -> bool:
+    def fits(span: frozenset[Coords]) -> bool:
         """Whether the type of span fits in the target type."""
         counts = [0] * (top + 1)
         for x in span:
@@ -403,7 +375,7 @@ def l_subgroups(
             below += counts[n]
         return True
 
-    def grow(span: frozenset[int], last: int, k: int) -> Iterator[frozenset[int]]:
+    def grow(span: frozenset[Coords], last: Coords, k: int) -> Iterator[frozenset[Coords]]:
         children = sorted(x for t in span for x in roots[k].get(t, ()) if x > last and x not in span)
         for x in children:
             # l^j is the order of x modulo T
@@ -418,19 +390,19 @@ def l_subgroups(
             else:
                 yield from grow(bigger, x, k - j)
 
-    def generators(span: frozenset[int]) -> tuple[tuple[int, ...], ...]:
-        picks, spanned = [], {0}
+    def generators(span: frozenset[Coords]) -> tuple[Coords, ...]:
+        picks, spanned = [], {zero}
         for e in want:
             x = min(x for x in span if level[x] == e and bottom[x] not in spanned)
-            multiples, y = [0], x
-            while y:
+            multiples, y = [zero], x
+            while y != zero:
                 multiples.append(y)
                 y = add(y, x)
             spanned = {add(s, m) for s in spanned for m in multiples}
-            picks.append(coords[x])
+            picks.append(x)
         return tuple(picks)
 
-    yield from map(generators, grow(frozenset({0}), 0, depth) if depth else [frozenset({0})])
+    yield from map(generators, grow(frozenset({zero}), zero, depth) if depth else [frozenset({zero})])
 
 
 def quotient(

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from math import gcd, isqrt
 
-from .arith import _primes_below, factorint, sqrt_mod
+from .arith import _SMALL_PRIMES, _primes_below, factorint, sqrt_mod
 from .errors import BoundExceeded, DiscriminantMismatch, NotFundamental
 from .finabelian import FiniteAbelianGroup, _Record
 
@@ -80,10 +80,6 @@ class BinaryQuadraticForm(_Record):
         if (abs(b) == a or a == c) and b < 0:
             return False
         return True
-
-    def inverse(self) -> BinaryQuadraticForm:
-        """Reduced representative of the inverse class."""
-        return reduce_form(BinaryQuadraticForm(self.a, -self.b, self.c))
 
     def __str__(self) -> str:
         return format_form((self.a, self.b, self.c))
@@ -171,6 +167,21 @@ def _lift(residues: list[int], modulus: int, q: int, roots: list[int]) -> list[i
     return [r + modulus * ((s - r) * inv % q) for r in residues for s in roots]
 
 
+def _odd_primes(dv: int, amax: int) -> list[tuple[int, int, list[int]]]:
+    """(p, rho(p^k) = 1 + (D/p), the powers p^k <= amax) for each odd p <= amax not inert, ascending."""
+    out = []
+    for p in (_SMALL_PRIMES if amax < 1000 else _primes_below(amax + 1))[1:]:
+        if p > amax:
+            break
+        ramified = dv % p == 0  # then D has the root 0 mod p, and none mod p^2: D is fundamental
+        if ramified or pow(dv, (p - 1) // 2, p) == 1:
+            qs = [p]
+            while not ramified and qs[-1] * p <= amax:
+                qs.append(qs[-1] * p)
+            out.append((p, 1 if ramified else 2, qs))
+    return out
+
+
 def _reduced_triples(d: int) -> list[Triple]:
     """The reduced forms of a fundamental discriminant as sorted triples; see reduced_forms."""
     dv = _require_enumerable(d)
@@ -178,18 +189,10 @@ def _reduced_triples(d: int) -> list[Triple]:
     # walk entries (a, the b mod 2a with b^2 = D (mod 4a), index into powers of the next
     # prime); the walk starts at each 2^v
     stack = [(1 << v, roots, 0) for v, roots in enumerate(_two_adic_roots(dv, amax))]
-    # per odd prime that is not inert, its powers q <= amax with the roots of D mod q;
-    # a p | D has the root 0, to the first power only, since D is fundamental
-    powers = []
-    for p in _primes_below(amax + 1)[1:]:
-        if dv % p == 0:
-            powers.append([(p, [0])])
-        elif roots := sqrt_mod(dv, p):
-            powers.append([(p, roots)])
-            q, k = p * p, 2
-            while q <= amax:
-                powers[-1].append((q, sqrt_mod(dv, p, k)))
-                q, k = q * p, k + 1
+    powers = [  # per odd prime that is not inert, its powers q <= amax with the roots of D mod q
+        [(q, sqrt_mod(dv, p, k) if rho == 2 else [0]) for k, q in enumerate(qs, 1)]
+        for p, rho, qs in _odd_primes(dv, amax)
+    ]
     slots: list[list[int] | None] = [None] * (amax + 1)  # the walk reaches each a once
     while stack:
         a, residues, i = stack.pop()
@@ -245,16 +248,7 @@ def class_number(d: int) -> int:
     dv = _require_enumerable(d)
     amax = isqrt(-dv // 3)
     band = isqrt(-dv - 1) // 2 + 1  # the least a with 4a^2 >= |D|
-    # per odd prime that is not inert: (p, rho(p^k), its powers p^k <= amax)
-    odd = []
-    for p in _primes_below(amax + 1)[1:]:
-        if dv % p == 0:
-            odd.append((p, 1, [p]))
-        elif pow(dv, (p - 1) // 2, p) == 1:
-            qs = [p]
-            while qs[-1] * p <= amax:
-                qs.append(qs[-1] * p)
-            odd.append((p, 2, qs))
+    odd = _odd_primes(dv, amax)
     twos = _two_adic_roots(dv, amax)
     h = 0
     in_band = []  # (a, the b mod 2a with b^2 = D (mod 4a)) for each a in the band
@@ -349,13 +343,6 @@ def _power(f: Triple, k: int, d: int) -> Triple:
         if k:  # the square after the top bit would never be read
             base = _compose(base, base, d)
     return result
-
-
-def form_power(f: BinaryQuadraticForm, k: int) -> BinaryQuadraticForm:
-    """k-th power of a class (k >= 0), square and multiply."""
-    if k < 0:
-        raise ValueError("negative powers not needed; compose with the inverse instead")
-    return BinaryQuadraticForm(*_power((f.a, f.b, f.c), k, f.discriminant()))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from generators by brute force.
 coordinate tuples, one residue per factor of `factor_orders`.
 `smith_normal_form` and `from_relations` read a presentation Z^g / (rows)
 off a general integer Smith normal form: the oracle for `quotient`.
+`form_power` and `form_inverse` do class arithmetic on reduced forms through
+the public `compose`, `reduce_form` and `principal_form`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from galab.finabelian import (
     l_subgroups,
     partitions_desc,
 )
+from galab.quadfields import BinaryQuadraticForm, compose, principal_form, reduce_form
 
 
 def abelian_groups_of_order(n: int) -> list[FiniteAbelianGroup]:
@@ -153,3 +156,17 @@ def from_relations(num_generators: int, relations: Sequence[Sequence[int]]) -> F
         raise ValueError(f"quotient has free rank {free}")
     return FiniteAbelianGroup(*diagonal)
 
+
+def form_power(f: BinaryQuadraticForm, k: int) -> BinaryQuadraticForm:
+    """The reduced form of the class f^k, k >= 0, by square and multiply."""
+    result, base = principal_form(f.discriminant()), reduce_form(f)
+    while k:
+        if k & 1:
+            result = compose(result, base)
+        base, k = compose(base, base), k >> 1
+    return result
+
+
+def form_inverse(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
+    """The reduced form of the inverse class of f: (a, -b, c), reduced."""
+    return reduce_form(BinaryQuadraticForm(f.a, -f.b, f.c))

@@ -580,18 +580,18 @@ def _predicted_uniqueness(mu: tuple[int, ...], exps: tuple[int, ...]) -> tuple[b
     """(verdict, saturation level) predicted from the sub's type mu and the exponents.
 
     With r = len(mu) and n = len(exps): a case passes exactly when the sub is
-    trivial, or homocyclic with n >= r; the saturation level is k_{n-r+1},
-    the r-th largest exponent (k_n for the trivial sub, 0 when n < r).  This
-    is checked on the grid below, not proven.
+    trivial, or n = 0, or the sub is homocyclic with n >= r; the saturation
+    level is k_{n-r+1}, the r-th largest exponent (k_n for the trivial sub,
+    0 when n = 0 or n < r).  This is checked on the grid below, not proven.
     """
     r, n = len(mu), len(exps)
-    passed = r == 0 or (len(set(mu)) == 1 and n >= r)
-    saturation = exps[-1] if r == 0 else exps[n - r] if n >= r else 0
+    passed = r == 0 or n == 0 or (len(set(mu)) == 1 and n >= r)
+    saturation = exps[n - max(r, 1)] if n >= max(r, 1) else 0
     return passed, saturation
 
 
 def test_uniqueness_predicate_on_a_grid():
-    exponent_sets = [c for k in (1, 2, 3) for c in itertools.combinations(range(1, 6), k)]
+    exponent_sets = [c for k in (0, 1, 2, 3) for c in itertools.combinations(range(1, 6), k)]
     checked = 0
     for prime, top in ((2, 12), (3, 8)):
         for size in range(5):
@@ -605,7 +605,7 @@ def test_uniqueness_predicate_on_a_grid():
                         prime, mu, exps,
                     )
                     checked += 1
-    assert checked == 362
+    assert checked == 386
 
 
 # -- diagram checks --------------------------------------------------------------------

@@ -22,13 +22,13 @@ from galab.quadfields import (
     class_group,
     class_number,
     compose,
-    form_power,
     fundamental_discriminants,
     is_fundamental,
     principal_form,
     reduce_form,
     reduced_forms,
 )
+from group_helpers import form_inverse, form_power
 
 G = FiniteAbelianGroup
 BQF = BinaryQuadraticForm
@@ -385,6 +385,17 @@ def test_class_number_reads_forms_only_in_the_band(monkeypatch):
     assert len(seen) < isqrt(-d // 3) - isqrt(-d) // 2
 
 
+def test_small_discriminants_take_their_primes_from_the_table(monkeypatch):
+    # mechanism: while sqrt(|D|/3) < 1000 the count and the listing read arith's primes
+    # below 1000 and sieve nothing
+    def refused(n):
+        raise AssertionError("sieved the primes afresh")
+
+    monkeypatch.setattr(quadfields, "_primes_below", refused)
+    for d in fundamental_discriminants(3000):
+        assert class_number(d) == len(quadfields._reduced_triples(d)), d
+
+
 @pytest.mark.parametrize("d", sorted(LARGE_PANEL))
 def test_large_panel_forms_and_structure(d):
     cg = class_group(d)
@@ -437,7 +448,7 @@ def test_inverse_pairs_compose_to_identity():
     for d in (-23, -47, -71):
         e = principal_form(d)
         for h in reduced_forms(d):
-            assert compose(h, h.inverse()) == e
+            assert compose(h, form_inverse(h)) == e
 
 
 def test_order_two_class_squares_to_identity():
@@ -467,7 +478,7 @@ def test_group_axioms_small():
         assert all(table[(f, g)] == table[(g, f)] for f in forms for g in forms)
         # inverses
         for f in forms:
-            assert table[(f, f.inverse())] == e
+            assert table[(f, form_inverse(f))] == e
         # associativity, exhaustively
         for f, g, h in itertools.product(forms, repeat=3):
             assert table[(table[(f, g)], h)] == table[(f, table[(g, h)])]
@@ -523,7 +534,7 @@ def test_form_power():
     assert form_power(f, 0) == principal_form(-23)
     assert form_power(f, 1) == f
     assert form_power(f, 3) == principal_form(-23)
-    assert form_power(f, 2) == f.inverse()
+    assert form_power(f, 2) == form_inverse(f)
 
 
 # -- class groups -----------------------------------------------------------------
