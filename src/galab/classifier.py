@@ -11,11 +11,10 @@ user-supplied entries.  A resolved group must embed into the class group,
 and that is decided from the class number h where it can be: a p-part Z/p
 embeds when p divides h (Cauchy's theorem), a p-part of order above the
 p-part of h never does, and only the remaining cases read one Sylow
-p-subgroup by composition.  h itself is counted (`quadfields.class_number`),
-not listed: the reduced forms are listed only to read such a Sylow part or
-to word a ContainmentError with the full class group structure.  A field of
-prime class number p, whose type is 1 or Z/p, is thus classified with no
-listing and no composition at all.
+p-subgroup by composition.  No path lists the reduced forms: h is counted
+(`quadfields.class_number`) and a Sylow part, or the structure that a
+ContainmentError words, is read from prime forms.  A field of prime class
+number p, whose type is 1 or Z/p, is thus classified with no composition.
 
 Global function fields are compared through the analogous invariant triple:
 characteristic, the prime-to-p part of the constant field exponent, and the
@@ -37,7 +36,7 @@ from .errors import (
     exit_code_for,
 )
 from .finabelian import FiniteAbelianGroup, _Record, embeds_in, group_literal
-from .quadfields import _reduced_triples, _structure, _sylow_exponents, class_number
+from .quadfields import _structure, _sylow_exponents, class_number
 
 EXCLUDED_DISCRIMINANTS = (-4, -8)
 
@@ -94,10 +93,9 @@ def resolve_split_data(
     - S_p = Z/p embeds whenever p divides h (Cauchy's theorem);
     - any other S_p embeds when the exponents of the class group's Sylow
       p-subgroup, read by composition, dominate its own.
-    The reduced forms are listed only for such a Sylow read or to word the
-    ContainmentError, which prints the full class group structure, and at
-    most once.  A field of prime class number thus needs neither the
-    listing nor a composition for the split groups 1 and Z/p.
+    No path lists the reduced forms (see `quadfields._prime_forms`), and a
+    field of prime class number needs no composition for the split groups 1
+    and Z/p.
     """
     if h == 1:
         return SplitData(SplitSource.FORCED_TRIVIAL, FiniteAbelianGroup())
@@ -113,26 +111,22 @@ def resolve_split_data(
 
 def _require_embedding(split: FiniteAbelianGroup, h: int, d: int) -> None:
     """Raise ContainmentError unless split embeds into the class group of d; see resolve_split_data."""
-    forms = None  # listed for the first Sylow part that must be read
     for p, exps in split.primary.items():
         v = 0
         while h % p ** (v + 1) == 0:
             v += 1
         if sum(exps) > v:  # |S_p| > p^v, also when p does not divide h
             break
-        if exps != (1,):
-            forms = forms or _reduced_triples(d)
-            if not embeds_in(
-                FiniteAbelianGroup.from_prime_exponents(p, exps),
-                FiniteAbelianGroup.from_prime_exponents(p, _sylow_exponents(forms, p, v, d)),
-            ):
-                break
+        if exps != (1,) and not embeds_in(
+            FiniteAbelianGroup.from_prime_exponents(p, exps),
+            FiniteAbelianGroup.from_prime_exponents(p, _sylow_exponents(d, h, p, v)),
+        ):
+            break
     else:
         return
-    structure = _structure(forms or _reduced_triples(d), d)
     raise ContainmentError(
         f"split group {group_literal(split)} does not embed into the "
-        f"class group {group_literal(structure)} of {d}"
+        f"class group {group_literal(_structure(d, h))} of {d}"
     )
 
 

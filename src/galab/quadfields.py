@@ -12,14 +12,15 @@ Shanks' composition (Cohen, Algorithm 5.4.7) followed by reduction.  The
 arithmetic runs on plain (a, b, c) triples;
 `BinaryQuadraticForm` objects are built only by the public functions and
 `ClassGroup.representatives`. The class group structure is read off each
-Sylow p-subgroup, the image of f -> f^(h/p^e).  For p exactly dividing h it
-is Z/p, and one image g != 1 with g^p = 1 shows it; for e >= 2 the images
-span it, and it holds only p^e classes.
+Sylow p-subgroup, the image of f -> f^(h/p^e) on the prime forms, which
+generate the class group (`_prime_forms`).  For p exactly dividing h it is
+Z/p, and one image g != 1 with g^p = 1 shows it; for e >= 2 the images span
+it, and it holds only p^e classes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator
 from math import gcd, isqrt
 
 from .arith import _SMALL_PRIMES, _primes_below, factorint, sqrt_mod
@@ -167,19 +168,37 @@ def _lift(residues: list[int], modulus: int, q: int, roots: list[int]) -> list[i
     return [r + modulus * ((s - r) * inv % q) for r in residues for s in roots]
 
 
-def _odd_primes(dv: int, amax: int) -> list[tuple[int, int, list[int]]]:
+def _odd_primes(dv: int, amax: int) -> Iterator[tuple[int, int, list[int]]]:
     """(p, rho(p^k) = 1 + (D/p), the powers p^k <= amax) for each odd p <= amax not inert, ascending."""
-    out = []
-    for p in (_SMALL_PRIMES if amax < 1000 else _primes_below(amax + 1))[1:]:
-        if p > amax:
-            break
-        ramified = dv % p == 0  # then D has the root 0 mod p, and none mod p^2: D is fundamental
-        if ramified or pow(dv, (p - 1) // 2, p) == 1:
-            qs = [p]
-            while not ramified and qs[-1] * p <= amax:
-                qs.append(qs[-1] * p)
-            out.append((p, 1 if ramified else 2, qs))
-    return out
+    for sieved in (False, True):  # the sieve runs only once the tabled primes below 1000 run out
+        for p in _primes_below(amax + 1)[len(_SMALL_PRIMES) :] if sieved else _SMALL_PRIMES[1:]:
+            if p > amax:
+                return
+            ramified = dv % p == 0  # then D has the root 0 mod p, and none mod p^2: D is fundamental
+            if ramified or pow(dv, (p - 1) // 2, p) == 1:
+                qs = [p]
+                while not ramified and qs[-1] * p <= amax:
+                    qs.append(qs[-1] * p)
+                yield p, 1 if ramified else 2, qs
+
+
+def _prime_forms(dv: int) -> Iterator[Triple]:
+    """The reduced form of (p, b, c), b^2 = D (mod 4p), for each p <= sqrt(|D|/3) not inert, 2 first.
+
+    These classes generate the class group: every class holds a reduced form
+    (a, b, c) with a <= sqrt(|D|/3), whose ideal aZ + ((-b + sqrt D)/2)Z is
+    primitive of norm a, so a product of prime ideals of degree one above
+    the p | a; each is the class of (p, b, c) or of its inverse (p, -b, c)
+    (Cohen, A Course in Computational Algebraic Number Theory, §5.2-5.4).
+    """
+    amax = isqrt(-dv // 3)
+    twos = _two_adic_roots(dv, amax)
+    if len(twos) > 1:
+        b = twos[1][0]
+        yield _reduce(2, b, (b * b - dv) // 8, dv)
+    for p, rho, _ in _odd_primes(dv, amax):
+        b = _lift(twos[0], 2, p, sqrt_mod(dv, p, 1) if rho == 2 else [0])[0]
+        yield _reduce(p, b, (b * b - dv) // (4 * p), dv)
 
 
 def _reduced_triples(d: int) -> list[Triple]:
@@ -248,7 +267,7 @@ def class_number(d: int) -> int:
     dv = _require_enumerable(d)
     amax = isqrt(-dv // 3)
     band = isqrt(-dv - 1) // 2 + 1  # the least a with 4a^2 >= |D|
-    odd = _odd_primes(dv, amax)
+    odd = list(_odd_primes(dv, amax))
     twos = _two_adic_roots(dv, amax)
     h = 0
     in_band = []  # (a, the b mod 2a with b^2 = D (mod 4a)) for each a in the band
@@ -386,64 +405,48 @@ class ClassGroup(_Record):
 def class_group(d: int) -> ClassGroup:
     """Class group of a fundamental discriminant, structure included.
 
-    Each Sylow p-subgroup is read by `_sylow_exponents`, which checks
-    composition on the way; the structure's order must then be h, otherwise
-    ArithmeticError.
+    The sorted reduced forms must start with the principal form, each Sylow
+    part is read by `_sylow_exponents`, which checks composition, and the
+    structure's order must then be h; otherwise ArithmeticError.
     """
     forms = tuple(_reduced_triples(d))
-    return ClassGroup(d, forms, _structure(forms, d))
+    if forms[:1] != (_principal(d),):  # also for h = 1, which has no Sylow part to read
+        raise ArithmeticError("the sorted reduced forms do not start with the principal form")
+    return ClassGroup(d, forms, _structure(d, len(forms)))
 
 
-def _structure(forms: Sequence[Triple], d: int) -> FiniteAbelianGroup:
-    """The class group structure of d, whose sorted reduced forms are `forms`; see class_group."""
-    _principal_first(forms, d)  # also for h = 1, which has no Sylow part to read
-    h = len(forms)
-    primary = {p: _sylow_exponents(forms, p, e, d) for p, e in factorint(h).items()}
+def _structure(d: int, h: int) -> FiniteAbelianGroup:
+    """The class group structure of d, whose class number is h; see class_group."""
+    primary = {p: _sylow_exponents(d, h, p, e) for p, e in factorint(h).items()}
     structure = FiniteAbelianGroup._from_primary(primary)
     if structure.order != h:
         raise ArithmeticError("structure order disagrees with the class number")
     return structure
 
 
-def _principal_first(forms: Sequence[Triple], d: int) -> Triple:
-    """The principal form, once checked to head the sorted listing; else ArithmeticError."""
-    identity = _principal(d)
-    if not forms or forms[0] != identity:
-        raise ArithmeticError("the sorted reduced forms do not start with the principal form")
-    return identity
+def _sylow_exponents(d: int, h: int, p: int, e: int) -> list[int]:
+    """Cyclic exponents, ascending, of the Sylow p-subgroup S of d, p^e exactly dividing h.
 
-
-def _sylow_exponents(forms: Sequence[Triple], p: int, e: int, d: int) -> list[int]:
-    """Cyclic exponents, ascending, of the Sylow p-subgroup S, p^e exactly dividing h.
-
-    f -> f^(h/p^e) maps the class group, listed by `forms`, onto S.  For
-    e = 1, S is Z/p: the first listed form whose image g is not the identity
-    gives it, once g^p is checked to be the identity.  For e >= 2, the
-    images of the forms, taken in sorted order until they span p^e classes,
-    generate S, and its exponents are read off the sizes
-    |p^k S| = |S| / |S[p^k]|, where p^k S is spanned by the p^k-th powers of
-    those generators.  The listing must start with the principal form, and
-    composition is checked on the way: an e = 1 image must exist and have
+    f -> f^(h/p^e) maps the prime forms (`_prime_forms`) onto generators of
+    S.  For e = 1, S is Z/p: the first image g != 1 gives it, once g^p = 1 is
+    checked.  For e >= 2, the images, taken until they span p^e classes,
+    generate S, and its exponents are read off |p^k S| = |S| / |S[p^k]|,
+    p^k S being spanned by the p^k-th powers of those generators.
+    Composition is checked on the way: an e = 1 image must exist and have
     order p, an e >= 2 span must reach exactly p^e, and every socle count
     must be a power of p; otherwise ArithmeticError.
     """
-    identity = _principal_first(forms, d)
-    h = len(forms)
-    # forms[0] is the principal form, whose image is the identity
-    if e == 1:
-        for f in forms[1:]:
-            g = _power(f, h // p, d)
-            if g != identity:
-                if _power(g, p, d) != identity:
-                    raise ArithmeticError(
-                        f"the image g = f^(h/{p}) != 1 has g^{p} != 1; composition is broken"
-                    )
-                return [1]
-        raise ArithmeticError(
-            f"no class of order {p} although {p} divides h; composition is broken"
-        )
+    identity = _principal(d)
     q = p**e
-    sylow, gens = _span((_power(f, h // q, d) for f in forms[1:]), identity, q, d)
+    images = (_power(f, h // q, d) for f in _prime_forms(d))
+    if e == 1:
+        g = next((g for g in images if g != identity), identity)
+        if g == identity:
+            raise ArithmeticError(f"no class of order {p} although {p} divides h; composition is broken")
+        if _power(g, p, d) != identity:
+            raise ArithmeticError(f"the image g = f^(h/{p}) != 1 has g^{p} != 1; composition is broken")
+        return [1]
+    sylow, gens = _span(images, identity, q, d)
     if len(sylow) != q:
         raise ArithmeticError("Sylow span falls short of its order; composition is broken")
     return _p_group_exponents(gens, identity, p, e, d)

@@ -575,14 +575,55 @@ def test_class_group_matches_counting_oracle():
         assert class_group(d) == counting_class_group(d), d
 
 
-def _genus_two_rank_holds(d: int) -> bool:
-    return len(class_group(d).structure.exponents_at(2)) == len(primefactors(-d)) - 1
+def _structure_two_ranks(d: int) -> tuple[int, int]:
+    """The 2-rank and 4-rank of class_group(d): its 2-part exponents, and those >= 2."""
+    exps = class_group(d).structure.exponents_at(2)
+    return len(exps), sum(1 for e in exps if e >= 2)
+
+
+def _residue_bit(a: int, p: int) -> int:
+    """1 when the Kronecker symbol (a/p) = -1, else 0, for a prime p not dividing a."""
+    if p == 2:  # a = 1 mod 4 here
+        return int(a % 8 == 5)
+    return int(pow(a, (p - 1) // 2, p) != 1)  # Euler's criterion
+
+
+def genus_redei_two_ranks(d: int) -> tuple[int, int]:
+    """Oracle with no composition: the 2-rank t - 1 by genus theory, the 4-rank by Redei.
+
+    D is the product of t prime discriminants p*: (-1)^((p-1)/2) p for odd
+    p | D, and -4, 8 or -8 for p = 2.  Redei's matrix R over F_2 has
+    R_ij = 1 exactly when (p_j*/p_i) = -1 (i != j), and the diagonal makes
+    each row sum to 0; the 4-rank is t - 1 - rank R (Redei 1934; Stevenhagen,
+    Redei matrices and applications, 1995).
+    """
+    stars = [(p, p if p % 4 == 1 else -p) for p in primefactors(-d) if p > 2]
+    two = d
+    for _, star in stars:
+        two //= star
+    if two != 1:
+        stars.insert(0, (2, two))
+    rows = []
+    for i, (p, _) in enumerate(stars):
+        bits = [_residue_bit(star, p) if j != i else 0 for j, (_, star) in enumerate(stars)]
+        bits[i] = sum(bits) % 2
+        rows.append(sum(bit << j for j, bit in enumerate(bits)))
+    rank = 0
+    while rows:  # Gaussian elimination over F_2, a row being a bit mask
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    t = len(stars)
+    return t - 1, t - 1 - rank
 
 
 def test_genus_theory_two_rank_of_structure():
-    # genus theory, independent of composition: the 2-rank is t - 1, t = #{primes dividing D}
+    # genus theory and Redei's matrix, independent of composition: the 2-rank is t - 1,
+    # t = #{primes dividing D}, and the 4-rank is t - 1 - rank R
     for d in fundamental_discriminants(5000):
-        assert _genus_two_rank_holds(d), d
+        assert _structure_two_ranks(d) == genus_redei_two_ranks(d), d
     rng = random.Random(20261018)
     sample = []
     while len(sample) < 20:
@@ -590,7 +631,7 @@ def test_genus_theory_two_rank_of_structure():
         if is_fundamental(d):
             sample.append(d)
     for d in sample:
-        assert _genus_two_rank_holds(d), d
+        assert _structure_two_ranks(d) == genus_redei_two_ranks(d), d
 
 
 _RIGHT_COMPOSE = quadfields._compose
@@ -645,10 +686,11 @@ def _wrong_inverse(f, g, d):
     # p^e with e >= 2 divides h: the span and the socle counts
     (_wrong_identity, -56, "span falls short"),
     (_wrong_second, -84, "span outgrows"),
-    (_wrong_inverse, -3299, "socle count"),
+    (_wrong_inverse, -3299, "span outgrows"),
+    (_wrong_inverse, -1231, "socle count"),
 ], ids=[
     "h3-no-image", "h5-no-image", "h3-image-order", "h5-image-order",
-    "h4-span-short", "h4-span-outgrows", "h27-socle",
+    "h4-span-short", "h4-span-outgrows", "h27-span-outgrows", "h27-socle",
 ])
 def test_class_group_detects_a_broken_composition(monkeypatch, wrong, d, message):
     assert class_group(d).order > 1
