@@ -56,12 +56,9 @@ class SplitSource(enum.Enum):
 
 
 class SplitData(_Record):
-    """A resolved split group together with where it came from."""
+    """A resolved split group (a FiniteAbelianGroup) and its SplitSource."""
 
     __slots__ = ("source", "group")
-
-    def __init__(self, source: SplitSource, group: FiniteAbelianGroup) -> None:
-        self._init(source, group)
 
 
 class SplitTable(_Record):
@@ -70,7 +67,7 @@ class SplitTable(_Record):
     __slots__ = ("user",)
 
     def __init__(self, user: Mapping[int, FiniteAbelianGroup] | None = None) -> None:
-        self._init({} if user is None else user)
+        super().__init__({} if user is None else user)
 
     def lookup(self, discriminant: int) -> SplitData | None:
         if discriminant in self.user:
@@ -135,13 +132,10 @@ class GaloisAbelianType(_Record):
 
     The free rank (two) and the torsion tower ("T" in documents) are
     field-independent constants; two types agree exactly when their split
-    groups do.
+    groups (FiniteAbelianGroup) do.
     """
 
     __slots__ = ("split_group",)
-
-    def __init__(self, split_group: FiniteAbelianGroup) -> None:
-        self._init(split_group)
 
     @property
     def free_rank(self) -> int:
@@ -156,16 +150,9 @@ class GaloisAbelianType(_Record):
 
 
 class FieldClassification(_Record):
-    __slots__ = ("discriminant", "class_number", "split", "abelian_type")
+    """A field's discriminant and class number (ints), its SplitData and its GaloisAbelianType."""
 
-    def __init__(
-        self,
-        discriminant: int,
-        class_number: int,
-        split: SplitData,
-        abelian_type: GaloisAbelianType,
-    ) -> None:
-        self._init(discriminant, class_number, split, abelian_type)
+    __slots__ = ("discriminant", "class_number", "split", "abelian_type")
 
     def to_document(self) -> dict:
         return {
@@ -196,10 +183,9 @@ def types_isomorphic(t1: GaloisAbelianType, t2: GaloisAbelianType) -> bool:
 
 
 class BatchError(_Record):
-    __slots__ = ("discriminant", "error", "message", "exit_code")
+    """A batch item that failed: its discriminant, the error's class name, message and exit code."""
 
-    def __init__(self, discriminant: int, error: str, message: str, exit_code: int) -> None:
-        self._init(discriminant, error, message, exit_code)
+    __slots__ = ("discriminant", "error", "message", "exit_code")
 
     @classmethod
     def from_exception(cls, discriminant: int, exc: GalabError) -> BatchError:
@@ -214,10 +200,9 @@ class BatchError(_Record):
 
 
 class BatchCell(_Record):
-    __slots__ = ("split_group", "discriminants")
+    """One isomorphism class of a batch: its split group and a tuple of discriminants."""
 
-    def __init__(self, split_group: FiniteAbelianGroup, discriminants: tuple[int, ...]) -> None:
-        self._init(split_group, discriminants)
+    __slots__ = ("split_group", "discriminants")
 
     def to_document(self) -> dict:
         return {
@@ -227,10 +212,9 @@ class BatchCell(_Record):
 
 
 class BatchPartition(_Record):
-    __slots__ = ("cells", "errors")
+    """A batch's tuple of BatchCell and tuple of BatchError."""
 
-    def __init__(self, cells: tuple[BatchCell, ...], errors: tuple[BatchError, ...]) -> None:
-        self._init(cells, errors)
+    __slots__ = ("cells", "errors")
 
     def to_document(self) -> dict:
         return {
@@ -283,7 +267,7 @@ class FunctionFieldInput(_Record):
             raise InvalidCharacteristic(f"{characteristic} is not prime")
         if constant_exponent < 1:
             raise ValueError("constant field exponent must be >= 1")
-        self._init(characteristic, constant_exponent, class_group_deg0)
+        super().__init__(characteristic, constant_exponent, class_group_deg0)
 
     @property
     def prime_to_p_exponent(self) -> int:
@@ -307,7 +291,7 @@ class FunctionFieldType(_Record):
             raise ValueError("exponent invariant must be prime to the characteristic")
         if characteristic in nonp_class.primes:
             raise ValueError("class-group invariant must have no p-part")
-        self._init(characteristic, prime_to_p_exponent, nonp_class)
+        super().__init__(characteristic, prime_to_p_exponent, nonp_class)
 
     def to_document(self) -> dict:
         return {

@@ -73,16 +73,6 @@ def _read_text(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_lines(path: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        out.append((lineno, stripped))
-    return out
-
-
 def load_split_table(path: str) -> SplitTable:
     """Parse a split-table file: one "discriminant: group literal" per line.
 
@@ -131,7 +121,10 @@ def load_split_table(path: str) -> SplitTable:
 
 def _read_discriminants(path: str) -> list[int]:
     out = []
-    for lineno, line in _read_lines(path):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
         try:
             out.append(int(line))
         except ValueError:

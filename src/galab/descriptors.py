@@ -135,7 +135,7 @@ class LocalFactors(_Record):
         if not _card_ok(free_rank):
             raise ValueError("free rank must be a non-negative cardinal")
         if full_tower:
-            self._init(prime, free_rank, (), full_tower)
+            super().__init__(prime, free_rank, (), full_tower)
             return
         cleaned = []
         seen = set()
@@ -149,7 +149,7 @@ class LocalFactors(_Record):
                 raise ValueError("multiplicity must be a non-negative cardinal")
             if mult != 0:
                 cleaned.append((k, mult))
-        self._init(prime, free_rank, tuple(sorted(cleaned)), full_tower)
+        super().__init__(prime, free_rank, tuple(sorted(cleaned)), full_tower)
 
     @classmethod
     def make(
@@ -203,11 +203,7 @@ class _GroupDescriptor(_Record):
                 rec = LocalFactors(rec.prime, rec.free_rank, (), False)
             if not rec.is_empty:
                 cleaned.append(rec)
-        self._init(free_rank, tuple(sorted(cleaned, key=lambda r: r.prime)), all_primes_tower)
-
-    @property
-    def kind(self) -> str:
-        raise NotImplementedError
+        super().__init__(free_rank, tuple(sorted(cleaned, key=lambda r: r.prime)), all_primes_tower)
 
     def local_at(self, prime: int) -> LocalFactors:
         """Effective per-prime record, materializing the tower pattern."""
@@ -225,20 +221,14 @@ class ProfiniteDescriptor(_GroupDescriptor):
     """Direct product of Z-hat (free_rank), Z_l and cyclic factors."""
 
     __slots__ = ("free_rank", "local_factors", "all_primes_tower")
-
-    @property
-    def kind(self) -> str:
-        return "profinite"
+    kind = "profinite"
 
 
 class DiscreteTorsionDescriptor(_GroupDescriptor):
     """Direct sum of Q/Z (free_rank), Pruefer and cyclic factors."""
 
     __slots__ = ("free_rank", "local_factors", "all_primes_tower")
-
-    @property
-    def kind(self) -> str:
-        return "discrete"
+    kind = "discrete"
 
 
 Descriptor = Union[ProfiniteDescriptor, DiscreteTorsionDescriptor]

@@ -67,7 +67,7 @@ class TruncationSpec(_Record):
             raise ValueError(f"sub group must be a {prime}-group")
         if div_level < 0:
             raise ValueError("div_level must be non-negative")
-        self._init(prime, sub, exps, div_level)
+        super().__init__(prime, sub, exps, div_level)
 
     @property
     def quotient_group(self) -> FiniteAbelianGroup:
@@ -81,33 +81,18 @@ class TruncationSpec(_Record):
 class SurvivorClass(_Record):
     """One isomorphism class of surviving extensions, with its witness.
 
-    `sub_generators` generate a copy of the sub inside `group` that is
-    contained in l^max_level * group and has the required quotient;
-    `quotient_form` re-records that quotient's canonical form.
+    `sub_generators`, GroupElements, generate a copy of the sub inside `group`
+    that is contained in l^max_level * group and has the required quotient;
+    `quotient_form` re-records that quotient's canonical FiniteAbelianGroup.
     """
 
     __slots__ = ("group", "sub_generators", "quotient_form", "max_level")
 
-    def __init__(
-        self,
-        group: FiniteAbelianGroup,
-        sub_generators: tuple[GroupElement, ...],
-        quotient_form: FiniteAbelianGroup,
-        max_level: int,
-    ) -> None:
-        self._init(group, sub_generators, quotient_form, max_level)
-
 
 class ExtensionReport(_Record):
-    __slots__ = ("spec", "classes", "level_counts")
+    """A TruncationSpec, a tuple of SurvivorClass and the (level, count) pairs of its survivors."""
 
-    def __init__(
-        self,
-        spec: TruncationSpec,
-        classes: tuple[SurvivorClass, ...],
-        level_counts: tuple[tuple[int, int], ...],
-    ) -> None:
-        self._init(spec, classes, level_counts)
+    __slots__ = ("spec", "classes", "level_counts")
 
     @property
     def counts(self) -> dict[int, int]:
@@ -383,20 +368,11 @@ def canonical_extension_group(spec: TruncationSpec) -> FiniteAbelianGroup:
 
 
 class UniquenessCase(_Record):
+    """Exponents, (level, count) pairs, saturation level, surviving and canonical groups, verdict."""
+
     __slots__ = (
         "exponents", "level_counts", "saturation_level", "survivors", "canonical", "passed"
     )
-
-    def __init__(
-        self,
-        exponents: tuple[int, ...],
-        level_counts: tuple[tuple[int, int], ...],
-        saturation_level: int,
-        survivors: tuple[FiniteAbelianGroup, ...],
-        canonical: FiniteAbelianGroup,
-        passed: bool,
-    ) -> None:
-        self._init(exponents, level_counts, saturation_level, survivors, canonical, passed)
 
     def to_document(self) -> dict:
         return {
@@ -410,12 +386,9 @@ class UniquenessCase(_Record):
 
 
 class UniquenessReport(_Record):
-    __slots__ = ("prime", "sub", "cases")
+    """A sweep's prime, sub group and tuple of UniquenessCase."""
 
-    def __init__(
-        self, prime: int, sub: FiniteAbelianGroup, cases: tuple[UniquenessCase, ...]
-    ) -> None:
-        self._init(prime, sub, cases)
+    __slots__ = ("prime", "sub", "cases")
 
     @property
     def all_passed(self) -> bool:
@@ -470,7 +443,7 @@ class DiagramCheck(_Record):
     def __init__(
         self, passed: bool, reason: str | None = None, counterexample: GroupElement | None = None
     ) -> None:
-        self._init(passed, reason, counterexample)
+        super().__init__(passed, reason, counterexample)
 
     def __bool__(self) -> bool:
         return self.passed

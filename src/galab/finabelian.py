@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .arith import factorint
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _factor(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(factorint(n).items())
 
@@ -39,15 +39,33 @@ def _factor(n: int) -> tuple[tuple[int, int], ...]:
 class _Record:
     """Base of galab's immutable value types; the fields are the `__slots__`, in order.
 
-    A subclass's `__init__` validates its arguments and stores the fields with
-    `_init`.  Two records are equal, and hash alike, exactly when they are of
-    the same class with equal fields; assigning a field raises AttributeError.
+    Fields are passed by position, keyword or both; a missing, unknown, twice-given
+    or extra field raises TypeError.  A subclass that validates or has defaults ends
+    its own `__init__` with `super().__init__(...)`.  Two records are equal, and hash
+    alike, exactly when they are of the same class with equal fields; assigning a
+    field raises AttributeError.
     """
 
     __slots__ = ()
 
-    def _init(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
+    def __init__(self, /, *args: object, **kwargs: object) -> None:
+        fields = self.__slots__
+        if len(args) != len(fields) or kwargs:
+            cls, names = type(self).__qualname__, ", ".join(fields)
+            if len(args) > len(fields):
+                raise TypeError(f"{cls} takes {len(fields)} fields ({names}), got {len(args)}")
+            given = dict(zip(fields, args))
+            for key, value in kwargs.items():
+                if key not in fields:
+                    raise TypeError(f"{cls} has no field {key!r}; its fields are {names}")
+                if key in given:
+                    raise TypeError(f"{cls} got field {key!r} twice")
+                given[key] = value
+            missing = [f for f in fields if f not in given]
+            if missing:
+                raise TypeError(f"{cls} is missing field(s) {', '.join(missing)}")
+            args = [given[f] for f in fields]
+        for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
@@ -237,7 +255,7 @@ class GroupElement(_Record):
             raise ValueError("coordinate count does not match factor count")
         if any(not 0 <= c < d for c, d in zip(coords, orders)):
             raise ValueError("coordinates out of range")
-        self._init(group, coords)
+        super().__init__(group, coords)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ class BinaryQuadraticForm(_Record):
     def __init__(self, a: int, b: int, c: int) -> None:
         if a <= 0 or b * b - 4 * a * c >= 0:
             raise ValueError(f"form ({a},{b},{c}) is not positive definite")
-        self._init(a, b, c)
+        super().__init__(a, b, c)
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
@@ -196,8 +196,8 @@ def _prime_forms(dv: int) -> Iterator[Triple]:
     if len(twos) > 1:
         b = twos[1][0]
         yield _reduce(2, b, (b * b - dv) // 8, dv)
-    for p, rho, _ in _odd_primes(dv, amax):
-        b = _lift(twos[0], 2, p, sqrt_mod(dv, p, 1) if rho == 2 else [0])[0]
+    for p, _, _ in _odd_primes(dv, amax):
+        b = _lift(twos[0], 2, p, sqrt_mod(dv, p, 1))[0]
         yield _reduce(p, b, (b * b - dv) // (4 * p), dv)
 
 
@@ -209,8 +209,7 @@ def _reduced_triples(d: int) -> list[Triple]:
     # prime); the walk starts at each 2^v
     stack = [(1 << v, roots, 0) for v, roots in enumerate(_two_adic_roots(dv, amax))]
     powers = [  # per odd prime that is not inert, its powers q <= amax with the roots of D mod q
-        [(q, sqrt_mod(dv, p, k) if rho == 2 else [0]) for k, q in enumerate(qs, 1)]
-        for p, rho, qs in _odd_primes(dv, amax)
+        [(q, sqrt_mod(dv, p, k)) for k, q in enumerate(qs, 1)] for p, _, qs in _odd_primes(dv, amax)
     ]
     slots: list[list[int] | None] = [None] * (amax + 1)  # the walk reaches each a once
     while stack:
@@ -371,19 +370,12 @@ def _power(f: Triple, k: int, d: int) -> Triple:
 class ClassGroup(_Record):
     """The form class group of a fundamental discriminant.
 
-    `forms` holds the reduced forms as sorted (a, b, c) triples;
-    `representatives` builds them as BinaryQuadraticForm objects on access.
+    `forms` holds the reduced forms as sorted (a, b, c) triples, which
+    `representatives` builds as BinaryQuadraticForm objects on access;
+    `structure` is a FiniteAbelianGroup.
     """
 
     __slots__ = ("discriminant", "forms", "structure")
-
-    def __init__(
-        self,
-        discriminant: int,
-        forms: tuple[Triple, ...],
-        structure: FiniteAbelianGroup,
-    ) -> None:
-        self._init(discriminant, forms, structure)
 
     @property
     def representatives(self) -> tuple[BinaryQuadraticForm, ...]:

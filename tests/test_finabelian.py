@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import tracemalloc
 from math import gcd, prod
 
 import pytest
@@ -613,3 +615,16 @@ def test_embeds_in():
     assert embeds_in(G(), G(5))
     assert embeds_in(G(4, 4, 2), G(8, 4, 4))
 
+
+def test_factor_cache_is_bounded():
+    # the factorizations behind FiniteAbelianGroup(n) are memoised; distinct orders must not pile up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        groups = [G(n) for n in range(10_000, 20_000)]
+        del groups
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20

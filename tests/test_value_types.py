@@ -93,6 +93,28 @@ def test_records_are_immutable_values(cls, fields):
     assert repr(by_name).startswith(f"{cls.__name__}({first}=")
 
 
+@pytest.mark.parametrize("cls, fields", EXAMPLES, ids=[cls.__name__ for cls, _ in EXAMPLES])
+def test_records_take_mixed_arguments(cls, fields):
+    names, values = list(fields), list(fields.values())
+    by_position = cls(*values)
+    for cut in range(len(names) + 1):
+        assert cls(*values[:cut], **dict(zip(names[cut:], values[cut:]))) == by_position
+
+
+@pytest.mark.parametrize("cls, fields", EXAMPLES, ids=[cls.__name__ for cls, _ in EXAMPLES])
+def test_records_refuse_wrong_fields(cls, fields):
+    names, values = list(fields), list(fields.values())
+    if cls not in (SplitTable, ProfiniteDescriptor, DiscreteTorsionDescriptor):  # all defaulted
+        with pytest.raises(TypeError, match=names[0]):
+            cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError, match="extra_field"):
+        cls(*values, extra_field=1)
+    with pytest.raises(TypeError, match=names[0]):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])
+
+
 def test_record_equality_is_by_class_and_value():
     assert ProfiniteDescriptor(1) != DiscreteTorsionDescriptor(1)
     assert hash(ProfiniteDescriptor(1)) == hash(ProfiniteDescriptor(1))
