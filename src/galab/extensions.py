@@ -9,17 +9,21 @@ candidate survives is the saturation level.  Whether an abelian l-group B of
 the forced order survives, and up to which level, is decided in closed form
 from the types of B, A and the quotient sum (Green's theorem on Hall
 polynomials), so the reports are exact.  Only the types that contain the
-quotient sum's are visited; every other B fails at level 0.  The saturation
-level itself needs no scan: it is the r-th largest quotient exponent for A
-of rank r (see `_saturation`).  A subgroup search runs only for the classes
-a report returns, to find the canonical witness copy of A.  A uniqueness
-sweep reads its counts from the levels and searches only the survivors at
-saturation.  A diagram check is decided from the types as well; it builds
-elements, and searches a model for its witness, only to name a failure.
+quotient sum's are visited; every other B fails at level 0.  No level needs
+a scan over m: one Littlewood-Richardson test per type decides whether it
+survives at all, and its level is read off the first part where it leaves
+the quotient sum's type (see `_survival_level`).  The saturation level is
+the r-th largest quotient exponent for A of rank r (see `_saturation`).  A
+subgroup search runs only for the classes a report returns, to find the
+canonical witness copy of A.  A uniqueness sweep reads its counts from the
+levels and searches only the survivors at saturation.  A diagram check is
+decided from the types as well; it builds elements, and searches a model
+for its witness, only to name a failure.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -193,21 +197,23 @@ def _survival_level(
     B/l^m B and l^m G = l^m B / S, and these two determine the type of G; by
     Green's theorem a subgroup of type mu with quotient of type (nu-m)+
     exists in l^m B, of type (lam-m)+, exactly when (ii) holds (Macdonald,
-    Symmetric Functions and Hall Polynomials, II.4).  A copy inside l^m B
-    lies in every l^k B with k < m, so the scan stops at the first failure.
-    Given (i) at m - 1, the sizes in (ii) force (i) at m: both say that lam
-    and nu have equally many parts >= m.  So the scan tests (ii) alone, and
-    evaluates it as c^{(lam-m)+}_{(nu-m)+,mu}, equal by the symmetry of LR
-    coefficients: the tableau search then fills (lam-m)+ / (nu-m)+, which
-    has |mu| cells, where lam/mu would have |nu|.
+    Symmetric Functions and Hall Polynomials, II.4).
+
+    So one LR test, the one at m = 0, decides every level.  First, (i) at m
+    says that wherever lam_i != nu_i both are >= m, so it holds exactly for
+    m up to L, the least min(lam_i, nu_i) over the parts where lam and nu
+    differ (lam_1 when lam = nu: then l^m B = 0 from m = lam_1 on, and the
+    level stops there).  Second, under (i) at m every cell of lam/nu lies in
+    a column > m, so (lam-m)+ / (nu-m)+ is the skew diagram lam/nu shifted m
+    columns left.  A skew Schur function does not change under translation,
+    so c^{(lam-m)+}_{(nu-m)+,mu} = c^lam_{nu,mu}, and (ii) at m is the test
+    at m = 0.  LR coefficients are symmetric in their lower indices, and the
+    tableau search fills lam/nu, |mu| cells, where lam/mu would have |nu|.
     """
-    level = None
-    for m in range((lam[0] if lam else 0) + 1):
-        lam_m, nu_m = (tuple(x - m for x in p if x > m) for p in (lam, nu))
-        if not _lr_nonzero(lam_m, nu_m, mu):
-            break
-        level = m
-    return level
+    if not _lr_nonzero(lam, nu, mu):
+        return None
+    parted = (min(a, b) for a, b in zip_longest(lam, nu, fillvalue=0) if a != b)
+    return min(parted, default=lam[0] if lam else 0)
 
 
 def _survival_levels(spec: TruncationSpec) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -216,7 +222,8 @@ def _survival_levels(spec: TruncationSpec) -> Iterator[tuple[tuple[int, ...], in
     A type lam survives at all only if c^lam_{mu,nu} != 0, which needs nu
     inside lam, lam_1 <= mu_1 + nu_1 and len(lam) <= len(mu) + len(nu).
     The partitions are listed from nu up, so no other lam is visited but
-    those too long, which the length test drops.
+    those too long, which the length test drops.  Each candidate costs one
+    LR test, and its level is read off where it parts from nu.
     """
     mu = spec.sub.exponents_at(spec.prime)
     nu = spec.quotient_exponents[::-1]
@@ -240,9 +247,9 @@ def _saturation(spec: TruncationSpec) -> int:
     parts, so m <= k_(n-r+1).  Sufficiency: take alpha = (nu-m)+ and let lam
     be the parts of nu below m, then (alpha+mu)_i + m, then m repeated up to
     #{nu_i >= m} parts.  This lam has the forced size, satisfies (i), and
-    c^{alpha+mu}_{alpha,mu} = 1, so it survives at m and, a copy in l^m B
-    lying in every l^k B with k < m, the scan reaches m.  For the trivial sub
-    (ii) forces lam = nu, which survives up to lam_1 = k_n.
+    c^{alpha+mu}_{alpha,mu} = 1, so it survives at m, and its level is at
+    least m.  For the trivial sub (ii) forces lam = nu, which survives up to
+    lam_1 = k_n.
     """
     r = len(spec.sub.exponents_at(spec.prime))
     ks = spec.quotient_exponents
@@ -414,8 +421,9 @@ def verify_uniqueness(
     A case passes when exactly one isomorphism class survives at the
     saturation level and it equals the canonical glued extension.  The
     saturation level is read off the exponents (`_saturation`), so each case
-    runs one level scan, inside `enumerate_extensions` at that level, and
-    only the survivors there are searched for witnesses.
+    lists the candidate types once, inside `enumerate_extensions` at that
+    level, with one LR test each, and only the survivors there are searched
+    for witnesses.
     """
     cases = []
     for exps in exponent_lists:

@@ -252,6 +252,39 @@ def test_green_theorem_against_subgroup_search():
     assert checked == 186
 
 
+def _scanned_survival_level(lam, mu, nu):
+    """The level by a scan over m: one LR test per level, up to the first that fails.
+
+    Given (i) at m - 1, the sizes in (ii) force (i) at m (conditions of
+    `extensions._survival_level`), so the scan tests (ii) alone.
+    """
+    level = None
+    for m in range((lam[0] if lam else 0) + 1):
+        lam_m, nu_m = (tuple(x - m for x in p if x > m) for p in (lam, nu))
+        if not extensions._lr_nonzero(lam_m, nu_m, mu):
+            break
+        level = m
+    return level
+
+
+def test_closed_form_level_matches_the_level_scan():
+    # every lam containing nu of size |mu| + |nu|, |mu| <= 5, nu of distinct parts from
+    # 1..6 with at most 4 parts (the empty nu included): the quotient sums of the specs
+    nus = [c[::-1] for k in range(5) for c in itertools.combinations(range(1, 7), k)]
+    levels = set()
+    checked = 0
+    for size in range(6):
+        for mu in partitions_desc(size):
+            for nu in nus:
+                for lam in partitions_desc(size + sum(nu), None, nu):
+                    level = extensions._survival_level(lam, mu, nu)
+                    assert level == _scanned_survival_level(lam, mu, nu), (lam, mu, nu)
+                    levels.add(level)
+                    checked += 1
+    assert checked == 34967
+    assert levels == {None, 0, 1, 2, 3, 4, 5, 6}
+
+
 def _roadmap_grid():
     for sub in (G(), G(2), G(4), G(8), G(2, 2), G(2, 4), G(2, 2, 2)):
         for exps in ((1,), (2,), (1, 2), (1, 3), (2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 3, 4)):
@@ -358,8 +391,9 @@ def test_closed_form_saturation_matches_the_level_table():
 def test_level_scan_work_guard(monkeypatch):
     # sub Z/2+Z/4+Z/8 with [1..7], |B| = 2^34: listing every partition of 34 up to
     # part 10 took 13 824 candidates per sweep; listing from nu up takes 550, and a
-    # sweep lists them once, inside enumerate_extensions.  The diagram check reads
-    # the saturation level off the exponents, with no scan at all.
+    # sweep lists them once, inside enumerate_extensions, with one LR search per
+    # candidate, where a scan over the levels made 1368.  The diagram check reads
+    # the saturation level off the exponents, with no LR search at all.
     counts = {"partitions": 0, "tableaux": 0}
     partitions, lr_nonzero = extensions.partitions_desc, extensions._lr_nonzero
 
@@ -378,6 +412,7 @@ def test_level_scan_work_guard(monkeypatch):
     (case,) = verify_uniqueness(2, sub, [exps], bound=2 ** 40).cases
     assert case.saturation_level == 5 and len(case.survivors) == 5
     assert counts["partitions"] <= 550
+    assert counts["tableaux"] <= counts["partitions"]
     counts.update(partitions=0, tableaux=0)
     assert verify_diagram(2, sub, spec(2, sub, exps), 1, bound=2 ** 40)
     assert counts == {"partitions": 0, "tableaux": 0}
