@@ -231,7 +231,10 @@ def classify_batch(
     Items share a cell exactly when their types are isomorphic.  Failing
     items are excluded from the partition and reported in input order; cells
     are ordered by the smallest |D| they contain, discriminants within a
-    cell likewise.
+    cell likewise.  A repeated discriminant is classified once per
+    occurrence and listed once in its cell, but a failing one is reported
+    once per occurrence: [-35, -35, -23, -23] gives the cell (-35,) and two
+    -23 errors.
     """
     classified: list[FieldClassification] = []
     errors: list[BatchError] = []

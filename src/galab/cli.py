@@ -80,11 +80,24 @@ def load_split_table(path: str) -> SplitTable:
     trailing commas are tolerated so a single-entry "{-35: 2}" document
     parses too.  Each distinct literal is parsed once.  Errors report the
     offending line number; a repeated discriminant names both.
+
+    The file is read on every call, so a changed file is always seen, and
+    each distinct (path, content) is parsed once per process.  Each call
+    returns its own `user` dict.
+    """
+    return SplitTable(user=dict(_parse_split_table(path, _read_text(path))))
+
+
+@lru_cache(maxsize=8)
+def _parse_split_table(path: str, text: str) -> dict[int, FiniteAbelianGroup]:
+    """The `user` entries of split-table `text`; `path` only words the errors.
+
+    lru_cache stores no exception, so a malformed table raises on every call.
     """
     user: dict[int, FiniteAbelianGroup] = {}
     lines: dict[int, int] = {}  # discriminant -> line that gave it
     groups: dict[str, FiniteAbelianGroup] = {}  # literal text as written -> parsed group
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         entry = line.strip()
         if not entry or entry[0] == "#":
             continue
@@ -116,7 +129,7 @@ def load_split_table(path: str) -> SplitTable:
             except ValueError as exc:
                 raise FormatError(f"{path} line {lineno}: {exc}") from None
         user[disc] = group
-    return SplitTable(user=user)
+    return user
 
 
 def _read_discriminants(path: str) -> list[int]:

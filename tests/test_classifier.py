@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import galab
-from galab import quadfields
+from galab import classifier, quadfields
 from galab.arith import factorint
 from galab.classifier import (
     SPLIT_TABLE_DISCRIMINANTS,
@@ -366,6 +366,25 @@ def test_batch_collects_errors():
     ]
     codes = [e.exit_code for e in part.errors]
     assert codes == [2, 2, 3]
+
+
+def test_batch_repeated_discriminant(monkeypatch):
+    # each occurrence is classified; a cell lists a discriminant once, errors once per occurrence
+    seen = []
+    classify = classifier.classify_field
+
+    def counted(d, table=None):
+        seen.append(d)
+        return classify(d, table)
+
+    monkeypatch.setattr(classifier, "classify_field", counted)
+    part = classify_batch([-35, -35, -23, -23])
+    assert seen == [-35, -35, -23, -23]
+    assert [c.discriminants for c in part.cells] == [(-35,)]
+    assert [(e.discriminant, e.error) for e in part.errors] == [
+        (-23, "SplitDataUnavailable"),
+        (-23, "SplitDataUnavailable"),
+    ]
 
 
 def test_batch_cell_ordering():

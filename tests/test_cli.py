@@ -196,6 +196,47 @@ def test_load_split_table_parses_each_literal_once(monkeypatch, tmp_path):
     table = load_split_table(str(path))
     assert calls == 3
     assert len(table.user) == 300 and table.user[-5] == G(2, 4)
+    # the unchanged file is read again but not parsed again
+    assert load_split_table(str(path)) == table
+    assert calls == 3
+
+
+def test_load_split_table_sees_a_rewritten_file(tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text("-35: 2\n")
+    assert load_split_table(str(path)).user == {-35: G(2)}
+    path.write_text("-35: 4\n-23: 3\n")
+    assert load_split_table(str(path)).user == {-35: G(4), -23: G(3)}
+
+
+def test_load_split_table_raises_the_same_error_each_time(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("-35: 2\n-51: zebra\n")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(FormatError, match="line 2") as caught:
+            load_split_table(str(path))
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
+def test_load_split_table_result_is_the_callers(tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text("-35: 2\n")
+    table = load_split_table(str(path))
+    table.user[-35] = G(4)
+    table.user[-23] = G(3)
+    assert load_split_table(str(path)).user == {-35: G(2)}
+
+
+def test_split_table_memo_is_bounded(tmp_path):
+    bound = cli._parse_split_table.cache_parameters()["maxsize"]
+    assert bound is not None
+    for i in range(bound + 5):
+        path = tmp_path / f"table{i}.txt"
+        path.write_text(f"-35: {i + 1}\n")
+        assert load_split_table(str(path)).user == {-35: G(i + 1)}
+    assert cli._parse_split_table.cache_info().currsize == bound
 
 
 def test_split_table_repeated_discriminant(capsys, tmp_path):

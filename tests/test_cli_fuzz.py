@@ -315,9 +315,10 @@ def test_split_table_reader_matches_the_two_pass_oracle(text):
         path = str(Path(tmp) / "table.txt")
         Path(path).write_text(text)
         outcomes = []
-        for load in (cli.load_split_table, two_pass_load_split_table):
+        # the second reader call is a memo hit, or raises the same error again
+        for load in (cli.load_split_table, cli.load_split_table, two_pass_load_split_table):
             try:
                 outcomes.append(load(path))
             except FormatError as exc:
                 outcomes.append(str(exc))
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
