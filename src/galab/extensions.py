@@ -109,6 +109,9 @@ class ExtensionReport(_Record):
         return max(levels, default=-1)
 
     def survivors_at(self, level: int) -> tuple[SurvivorClass, ...]:
+        """The classes surviving at `level`; only those at or above the spec's div_level are kept."""
+        if level < self.spec.div_level:
+            raise ValueError(f"level {level} is below the spec's div_level {self.spec.div_level}")
         return tuple(c for c in self.classes if c.max_level >= level)
 
     def to_document(self) -> dict:
@@ -483,59 +486,55 @@ def verify_diagram(
     quotient.  On failure the offending element is reported: an element of
     S outside l^m B, or a character in D[l^n] that is non-zero on S.
 
-    Whether the check passes is decided from the types alone, and elements
-    are built only to name a failure.  A trivial sub passes whenever B
-    exists.  Otherwise, with s the saturation level (`_saturation`):
-    - the canonical B passes exactly when n <= s.  Its witness a_j is
-      l^top_j times the generator of a Z/l^(e_j+top_j) summand, so it lies
-      in l^m B exactly when m <= top_j.  The round robin gives each a_j one
-      of the r largest quotient exponents as its top, or 0 when n < r, so
-      min_j top_j = k_(n-r+1) = s.  B's exponent exceeds s, so past s the
-      sub-copy is not inside l^min(n, exp B) B.
-    - a `model` of type lam survives up to its level L (`_survival_level`),
-      and passes exactly when L = s and n <= s.  Its witness lies in l^L B
-      and not in l^(L+1) B, else B would survive at L + 1; L <= s, and B's
-      exponent exceeds L.
+    Whether the check passes is decided from the types alone, by one rule,
+    and elements are built only to name a failure.  Let s be the saturation
+    level (`_saturation`) and L the level of B: s for the canonical B, and
+    for a model its `_survival_level` (a model with none fails at once).
+    The check passes exactly when the sub is trivial, or L = s and n <= s.
+    Proof: the witness lies in l^L B and not in l^(L+1) B.  For a model,
+    else B would survive at L + 1.  For the canonical B, a_j is l^top_j
+    times the generator of a Z/l^(e_j+top_j) summand, so it lies in l^m B
+    exactly when m <= top_j; the round robin tops each a_j with one of the
+    r largest quotient exponents, or 0 if there are fewer, so min_j top_j =
+    k_(n-r+1) = s.  So the divisibility checks up to s first fail at L + 1
+    when L < s, and all hold when L = s, when S lies in l^n B exactly for
+    n <= s.  B's exponent exceeds L: past s, S is not in l^min(n, exp B) B.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if prime != spec.prime or sub != spec.sub:
         raise ValueError("spec is inconsistent with the given prime and sub group")
     _check_bound(spec, bound)
-    saturation = _saturation(spec)
-    if model is None:
-        if sub.is_trivial or n <= saturation:
-            return DiagramCheck(True)
-        b, witness = canonical_extension_with_witness(spec)
-    else:
+    saturation = level = _saturation(spec)
+    if model is not None:
         level = None
         if model.order == spec.total_order:
             mu, nu = sub.exponents_at(prime), spec.quotient_exponents[::-1]
             level = _survival_level(model.exponents_at(prime), mu, nu)
         if level is None:
             return _fail("model admits no sub-copy with the required quotient")
-        if sub.is_trivial or (level == saturation and n <= saturation):
-            return DiagramCheck(True)
+    if sub.is_trivial or (level == saturation and n <= saturation):
+        return DiagramCheck(True)
+    if model is None:
+        b, witness = canonical_extension_with_witness(spec)
+    else:
         b, witness = model, _witness(model, spec, level)
 
-    for m in range(1, saturation + 1):
-        hit = _outside_multiple(witness, prime ** m)
-        if hit is not None:
-            return _fail(f"sub element not divisible by {prime}^{m} in the model", hit[0])
-
-    # past B's largest exponent e, l^n B = 0 and B[l^n] = B, and the quotient's
-    # exponents are at most e: every answer below is the one at depth min(n, e)
-    socle_mult = prime ** min(n, max(b.exponents_at(prime), default=0))
-    hit = _outside_multiple(witness, socle_mult)
+    # for L < s the check at m = L + 1 fails first; else every answer is the one at
+    # depth min(n, e), e = exp B: past e, l^n B = 0, B[l^n] = B and C's exponents are <= e
+    mult = prime ** (level + 1 if level < saturation else min(n, b.exponents_at(prime)[0]))
+    hit = _outside_multiple(witness, mult)
     if hit is None:
         raise AssertionError(f"the types fail {spec} at {prime}^{n} on {b}, but the witness passes")
+    if level < saturation:
+        return _fail(f"sub element not divisible by {prime}^{level + 1} in the model", hit[0])
     # characters of B are coordinate vectors under <c, x> = sum (e/d_i) c_i x_i mod e;
     # (d_i / gcd(d_i, l^n)) e_i is killed by l^n and pairs non-trivially with s
     s, i = hit
     d = b.factor_orders[i]
-    chi = tuple(d // gcd(d, socle_mult) if j == i else 0 for j in range(len(s.coords)))
-    dual_size = power_and_socle(b, socle_mult)[1].order
-    tower_size = power_and_socle(spec.quotient_group, socle_mult)[1].order
+    chi = tuple(d // gcd(d, mult) if j == i else 0 for j in range(len(s.coords)))
+    dual_size = power_and_socle(b, mult)[1].order
+    tower_size = power_and_socle(spec.quotient_group, mult)[1].order
     return _fail(
         f"socle sizes differ at {prime}^{n}: dual has {dual_size}, tower has {tower_size}",
         GroupElement(b, chi),

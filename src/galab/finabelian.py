@@ -275,8 +275,8 @@ def hom_group(g: FiniteAbelianGroup, h: FiniteAbelianGroup) -> FiniteAbelianGrou
 
 
 def dual_finite(g: FiniteAbelianGroup) -> FiniteAbelianGroup:
-    """The character group Hom(G, Z/exp(G)); isomorphic to G itself."""
-    return hom_group(g, FiniteAbelianGroup(g.exponent) if not g.is_trivial else g)
+    """The character group Hom(G, Z/exp(G)), isomorphic to G; exp(G) is read off G's primary form."""
+    return hom_group(g, FiniteAbelianGroup._from_primary({p: e[:1] for p, e in g._primary}))
 
 
 def power_and_socle(g: FiniteAbelianGroup, n: int) -> tuple[FiniteAbelianGroup, FiniteAbelianGroup]:

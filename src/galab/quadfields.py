@@ -37,8 +37,6 @@ Triple = tuple[int, int, int]
 
 
 def _squarefree(n: int) -> bool:
-    if n == 0:
-        return False
     return all(e == 1 for e in factorint(abs(n)).values())
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import os
 import random
 import subprocess
@@ -30,12 +31,14 @@ from galab.classifier import (
 )
 from galab.descriptors import ProfiniteDescriptor
 from galab.errors import (
+    BoundExceeded,
     ContainmentError,
     ExcludedField,
     GalabError,
     InvalidCharacteristic,
     NotFundamental,
     SplitDataUnavailable,
+    exit_code_for,
 )
 from galab.finabelian import FiniteAbelianGroup, embeds_in, group_literal, parse_group_literal
 from galab.quadfields import class_group, class_number, fundamental_discriminants
@@ -140,6 +143,8 @@ def test_classifier_loads_neither_extensions_nor_descriptors():
 def test_package_names_load_from_their_modules():
     assert all(hasattr(galab, name) for name in galab.__all__)
     assert galab.classify_field is classify_field
+    # a module name is looked up on the package each time, not cached
+    assert galab.__getattr__("extensions") is importlib.import_module("galab.extensions")
     for gone in ("galois_abelian_type", "TowerExtensionType", "descriptors_equal",
                  "subgroups_isomorphic_to", "abelian_groups_of_order", "smith_normal_form",
                  "from_relations", "InfiniteQuotient"):
@@ -366,6 +371,9 @@ def test_batch_collects_errors():
     ]
     codes = [e.exit_code for e in part.errors]
     assert codes == [2, 2, 3]
+    assert exit_code_for(BoundExceeded("x")) == 4
+    with pytest.raises(TypeError, match="not a galab error"):
+        exit_code_for(ValueError("x"))
 
 
 def test_batch_repeated_discriminant(monkeypatch):
@@ -407,6 +415,8 @@ def test_ff_type_examples():
 def test_ff_invalid_characteristic():
     with pytest.raises(InvalidCharacteristic):
         FunctionFieldInput(6, 2, G())
+    with pytest.raises(InvalidCharacteristic):
+        FunctionFieldType(6, 1, G())
     with pytest.raises(ValueError):
         FunctionFieldInput(2, 0, G())
 

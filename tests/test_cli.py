@@ -663,6 +663,11 @@ def test_help_prints_to_stdout_and_returns_0(capsys, monkeypatch, sub):
             ("compare", "--disc", "-35", "--disc", "-51", "--split", "3"),
             "unrecognized arguments: --split 3",
         ),
+        (("fftype", "--prime", "2", "--n", "0", "--class0", "1"), "--n must be >= 1"),
+        (
+            ("verify-uniqueness", "--prime", "2", "--sub", "2", "--exponents", "1,x"),
+            "bad exponent list '1,x'",
+        ),
     ],
 )
 def test_usage_error_text(capsys, argv, message):

@@ -54,6 +54,7 @@ def test_aleph0_semantics():
     assert card_min(3, ALEPH0) == 3
     assert card_min(ALEPH0, ALEPH0) == ALEPH0
     assert card_min(2, 7) == 2
+    assert repr(ALEPH0) == "ALEPH0"
 
 
 # -- tower descriptors -----------------------------------------------------------
@@ -66,6 +67,12 @@ def test_full_tower_multiplicities():
     assert t.local_at(97).multiplicity(1) == ALEPH0
     assert t.free_rank == 0
     assert t.local_at(3) == prime_tower_descriptor(3).local_at(3)
+    # a local record under the tower keeps its free rank and takes the tower
+    towered = ProfiniteDescriptor(0, (LocalFactors.make(5, 2, {1: 3}),), True)
+    assert towered.local_at(5) == LocalFactors(5, 2, (), True)
+    # off the tower a multiplicity is read from the cyclic map, 0 where absent
+    finite = LocalFactors.make(5, 0, {1: 3, 4: ALEPH0})
+    assert [finite.multiplicity(k) for k in (1, 2, 4)] == [3, 0, ALEPH0]
 
 
 def test_prime_tower_restriction():
@@ -75,6 +82,17 @@ def test_prime_tower_restriction():
     assert t3 != full_tower_descriptor()
     with pytest.raises(ValueError):
         prime_tower_descriptor(4)
+    # the records refuse what no group has
+    for bad, message in (
+        (lambda: LocalFactors(2, -1), "free rank"),
+        (lambda: LocalFactors(2, 0, ((0, 1),)), "exponents must be >= 1"),
+        (lambda: LocalFactors(2, 0, ((1, 1), (1, 2))), "duplicate exponent 1"),
+        (lambda: LocalFactors(2, 0, ((1, -1),)), "multiplicity"),
+        (lambda: ProfiniteDescriptor(-1), "free rank"),
+        (lambda: ProfiniteDescriptor(0, (LocalFactors(3, 1), LocalFactors(3, 2))), "duplicate prime 3"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            bad()
 
 
 # -- duality ----------------------------------------------------------------------

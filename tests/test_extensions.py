@@ -6,12 +6,14 @@ import hashlib
 import itertools
 import json
 import time
+from math import gcd
 
 import pytest
 
 from galab import extensions, finabelian
 from galab.errors import BoundExceeded
 from galab.extensions import (
+    DiagramCheck,
     TruncationSpec,
     canonical_extension_group,
     canonical_extension_with_witness,
@@ -43,6 +45,10 @@ def test_spec_validation():
         spec(2, G(2), [2, 2])
     with pytest.raises(ValueError):
         spec(2, G(2), [2, 1])
+    with pytest.raises(ValueError, match=">= 1"):
+        spec(2, G(2), [0, 1])
+    with pytest.raises(ValueError, match="non-negative"):
+        spec(2, G(2), [1], m=-1)
     s = spec(2, G(2), [1, 2])
     assert s.quotient_group == G(2, 4)
     assert s.total_order == 16
@@ -110,6 +116,19 @@ def test_canonical_class_membership():
         canonical = canonical_extension_group(s)
         for m in range(report.saturation_level + 1):
             assert canonical in {c.group for c in report.survivors_at(m)}
+
+
+def test_survivors_below_div_level_are_refused():
+    # only classes at or above div_level are searched and kept, so a lower level
+    # would silently return a subset of the survivors that counts[level] counts
+    report = enumerate_extensions(spec(2, G(2), [1, 2, 3], m=2))
+    assert report.counts[0] == 4 and len(report.classes) == 2
+    for level in (0, 1):
+        with pytest.raises(ValueError, match="div_level 2"):
+            report.survivors_at(level)
+    assert [c.group for c in report.survivors_at(2)] == [G(2, 8, 8), G(2, 4, 16)]
+    assert [c.group for c in report.survivors_at(3)] == [G(2, 4, 16)]
+    assert report.survivors_at(4) == ()
 
 
 def test_bound_exceeded():
@@ -754,6 +773,71 @@ def test_diagram_verdict_is_the_type_rule():
                 outcomes.add(check.reason and check.reason.split()[0])
                 models += 1
     assert models == 3438
+    assert outcomes == {None, "model", "sub", "socle"}
+
+
+def _loop_named_diagram(s, n, model=None):
+    """The diagram check with a scan over levels: the reference for verify_diagram's naming.
+
+    The canonical B and a model each decide their verdict on their own branch,
+    then every m from 1 to the saturation level is tested for divisibility
+    before the socle at depth min(n, exp B).
+    """
+    prime, sub = s.prime, s.sub
+    sat = extensions._saturation(s)
+    if model is None:
+        if sub.is_trivial or n <= sat:
+            return DiagramCheck(True)
+        b, witness = canonical_extension_with_witness(s)
+    else:
+        level = None
+        if model.order == s.total_order:
+            mu, nu = sub.exponents_at(prime), s.quotient_exponents[::-1]
+            level = extensions._survival_level(model.exponents_at(prime), mu, nu)
+        if level is None:
+            return DiagramCheck(False, "model admits no sub-copy with the required quotient")
+        if sub.is_trivial or (level == sat and n <= sat):
+            return DiagramCheck(True)
+        b, witness = model, extensions._witness(model, s, level)
+    for m in range(1, sat + 1):
+        hit = extensions._outside_multiple(witness, prime ** m)
+        if hit is not None:
+            return DiagramCheck(False, f"sub element not divisible by {prime}^{m} in the model", hit[0])
+    mult = _depth(b, prime, n)
+    element, i = extensions._outside_multiple(witness, mult)
+    d = b.factor_orders[i]
+    chi = tuple(d // gcd(d, mult) if j == i else 0 for j in range(len(element.coords)))
+    dual_size = finabelian.power_and_socle(b, mult)[1].order
+    tower_size = finabelian.power_and_socle(s.quotient_group, mult)[1].order
+    reason = f"socle sizes differ at {prime}^{n}: dual has {dual_size}, tower has {tower_size}"
+    return DiagramCheck(False, reason, GroupElement(b, chi))
+
+
+def test_one_step_naming_matches_the_level_loop(monkeypatch):
+    # every check of the type-rule grid: the canonical B at every n, and every type of
+    # the forced order as a model at |B| <= 256.  Each failure is named by one
+    # _outside_multiple call, where the loop over m made up to s + 1
+    calls = []
+    outside = extensions._outside_multiple
+    monkeypatch.setattr(
+        extensions, "_outside_multiple", lambda w, mult: calls.append(mult) or outside(w, mult)
+    )
+    checked, outcomes = 0, set()
+    for s in _deep_saturation_grid():
+        sat = extensions._saturation(s)
+        models = [None]
+        if s.total_order <= 256:
+            size = sum(s.sub.exponents_at(s.prime)) + sum(s.quotient_exponents)
+            models += [G.from_prime_exponents(s.prime, lam) for lam in partitions_desc(size)]
+        for model in models:
+            for n in range(1, sat + 3):
+                calls.clear()
+                check = verify_diagram(s.prime, s.sub, s, n, model=model, bound=s.total_order)
+                assert len(calls) == (check.counterexample is not None), (s, model, n)
+                assert check == _loop_named_diagram(s, n, model), (s, model, n)
+                outcomes.add(check.reason and check.reason.split()[0])
+                checked += 1
+    assert checked == 4775 + 3438
     assert outcomes == {None, "model", "sub", "socle"}
 
 

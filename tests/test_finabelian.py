@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+import time
 import tracemalloc
 from math import gcd, prod
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galab.arith import PRIME_LIMIT
 from galab.finabelian import (
     FiniteAbelianGroup,
     GroupElement,
@@ -193,6 +195,10 @@ def test_isomorphism_examples():
     assert G(6) == G(2, 3)
     assert G(4) != G(2, 2)
     assert G(12, 2) == G(6, 4)
+    assert G(2).__eq__("2") is NotImplemented and G(2) != "2"
+    for order in (0, -4):
+        with pytest.raises(ValueError, match="positive"):
+            G(order)
     # orders are read as integers, never truncated
     assert G(_Four(), 2) == G(4, 2)
     for order in (2.5, 4.9, 4.0):
@@ -262,6 +268,18 @@ def test_dual_examples():
     assert dual_finite(G(8)) == G(8)
     assert dual_finite(G()) == G()
     assert dual_finite(G(2, 4)) == G(2, 4)
+
+
+def test_dual_reads_the_exponent_without_factoring():
+    # Z/exp(G) comes from G's primary form: factoring the exponent is refused past
+    # PRIME_LIMIT, and took seconds for l^2 with l near 1.8 * 10^12
+    from sympy import nextprime, prevprime
+
+    for l, e in ((int(nextprime(PRIME_LIMIT)), 1), (int(prevprime(1821137154000)), 2)):
+        g = G.from_prime_exponents(l, [e])
+        start = time.perf_counter()
+        assert dual_finite(g) == g == hom_group(g, g)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_dual_involution_small():

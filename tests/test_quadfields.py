@@ -6,10 +6,12 @@ import contextlib
 import hashlib
 import io
 import itertools
+import math
 import random
 from math import gcd, isqrt
 
 import pytest
+from sympy import factorint as sympy_factorint
 from sympy import primefactors
 
 from galab import cli, quadfields
@@ -351,6 +353,63 @@ def test_class_number_counts_the_listing():
         assert class_number(d) == len(listing(d)), d
 
 
+def _kronecker(d: int, n: int) -> int:
+    """The Kronecker symbol (d/n) for n >= 1, by quadratic reciprocity."""
+    result = 1
+    while n % 2 == 0:
+        n //= 2
+        if d % 2 == 0:
+            return 0
+        if d % 8 in (3, 5):
+            result = -result
+    a = d % n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def analytic_class_number(d: int) -> float:
+    """h(D) for a fundamental D < -4 from its rapidly convergent series.
+
+    h(D) = sum over n >= 1 of (D/n) [erfc(n sqrt(pi/|D|)) + sqrt|D| / (pi n)
+    exp(-pi n^2 / |D|)] (Cohen, A Course in Computational Algebraic Number
+    Theory, 5.3).  Past n sqrt(pi/|D|) = 7.5 both parts are below 10^-24.
+    """
+    root, step = math.sqrt(-d), math.sqrt(math.pi / -d)
+    terms = []
+    n = 1
+    while n * step <= 7.5:
+        chi = _kronecker(d, n)
+        if chi:
+            x = n * step
+            terms.append(chi * (math.erfc(x) + root / (math.pi * n) * math.exp(-x * x)))
+        n += 1
+    return math.fsum(terms)
+
+
+def test_class_number_matches_the_analytic_series():
+    # an oracle that shares no code with the count: the large panel, then a seeded
+    # sample in [10^8, 10^10), fundamental by sympy's factorization
+    rng = random.Random(33)
+    sample: list[int] = []
+    while len(sample) < 3:
+        d = -rng.randrange(10**8, 10**10)
+        m = -d if d % 4 == 1 else -d // 4 if d % 16 in (8, 12) else 0
+        if m and all(e == 1 for e in sympy_factorint(m).values()):
+            sample.append(d)
+    for d in (*LARGE_PANEL, *sample):
+        h = analytic_class_number(d)
+        assert abs(h - round(h)) < 1e-6, d
+        assert class_number(d) == round(h), d
+
+
 def test_class_number_at_the_band_edge():
     # |D| just below 4a^2 puts a in the band, whose roots are read one by one (c = a
     # can occur there); just above, a is counted by rho(a) alone
@@ -428,6 +487,10 @@ def test_reduce_form_normalizes():
     assert reduce_form(BQF(1, -1, 6)) == BQF(1, 1, 6)
     g = reduce_form(BQF(9, -17, 9))
     assert g == BQF(1, 1, 9)
+    assert str(g) == "(1,1,9)"
+    # |b| <= a <= c fails, and b < 0 on the boundary |b| = a or a = c
+    assert g.is_reduced and not f.is_reduced
+    assert not BQF(2, -2, 3).is_reduced and not BQF(2, -1, 2).is_reduced
 
 
 # -- composition ---------------------------------------------------------------
@@ -545,6 +608,7 @@ def test_class_group_structures():
     assert class_group(-23).structure == G(3)
     assert class_group(-4).structure == G()
     assert class_group(-47).structure == G(5)
+    assert str(class_group(-35)) == "2 [(1,1,9), (3,1,3)]"
 
 
 def test_class_group_consistency():
