@@ -427,6 +427,33 @@ def verify_uniqueness(
     lists the candidate types once, inside `enumerate_extensions` at that
     level, with one LR test each, and only the survivors there are searched
     for witnesses.
+
+    The verdict follows a rule, here proven: a case passes exactly when the
+    sub is trivial, or there are no exponents (n = 0), or the sub is
+    homocyclic, (Z/l^e)^r, with n >= r.  Let mu be the sub's type, of rank r,
+    nu = (k_n, ..., k_1) and s the saturation level.  The canonical B
+    survives at s (`verify_diagram` shows its sub-copy lies in l^s B), so a
+    case passes exactly when one class survives at s.  By the criterion
+    (i), (ii) of `_survival_level`:
+    - n >= r >= 1.  s = k_(n-r+1), so nu has exactly r parts >= s, and (i)
+      at s makes lam's parts below s those of nu and leaves lam exactly r
+      parts >= s.  So lam <-> alpha = (lam - s)+, with len(alpha) <= r, is a
+      bijection from the classes at s onto the alpha with c^alpha_{mu,beta}
+      != 0, beta = (nu - s)+ (its inverse adds s to r parts of alpha and
+      appends nu's parts below s): onto the terms of s_mu * s_beta in r
+      variables.  len(beta) <= r - 1, and the k are distinct, so beta_i >= 1
+      for i < r.  A homocyclic mu = (e^r) has s_mu(x_1..x_r) = (x_1...x_r)^e,
+      so the one term mu + beta.  Any other mu has r >= 2, and besides
+      mu + beta the term mu + beta - e_j + e_r, j the number of parts of mu
+      above mu_r: with mu' = mu - (mu_r^r), of length j, c^alpha_{mu,beta} =
+      c^(alpha - (mu_r^r))_{mu',beta}, and the skew shape
+      (mu' + beta - e_j + e_r)/beta has mu'_i cells in row i < j, mu'_j - 1
+      in row j and one in row r, in column 1, below beta.  Row i filled with
+      i's and the row-r cell with j is semistandard, has content mu' and a
+      lattice reverse reading word, mu' being a partition.  Two classes.
+    - 1 <= n < r.  s = 0, and c^lam_{mu,nu} = 1 for lam = mu + nu and for
+      lam = mu U nu (the parts of both), of r and r + n parts.  Two classes.
+    - n = 0, or a trivial sub.  (ii) forces lam = mu, or lam = nu: one class.
     """
     cases = []
     for exps in exponent_lists:

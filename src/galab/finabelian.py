@@ -104,7 +104,9 @@ class FiniteAbelianGroup:
     Construct from cyclic orders: ``FiniteAbelianGroup(2, 4, 3)`` is
     Z/2 + Z/4 + Z/3 and ``FiniteAbelianGroup()`` is the trivial group.
     Composite orders are split by the Chinese remainder theorem, so
-    ``FiniteAbelianGroup(6) == FiniteAbelianGroup(2, 3)``.
+    ``FiniteAbelianGroup(6) == FiniteAbelianGroup(2, 3)``.  Like the
+    records, a group is immutable: assigning or deleting an attribute raises
+    AttributeError.
     """
 
     __slots__ = ("_primary", "_factor_orders")
@@ -211,6 +213,13 @@ class FiniteAbelianGroup:
 
     def __str__(self) -> str:
         return group_literal(self)
+
+    __setattr__ = _Record.__setattr__
+    __delattr__ = _Record.__delattr__
+
+    def __reduce__(self):
+        # rebuild from the primary data: the default sets each slot by setattr, which is refused
+        return FiniteAbelianGroup._from_primary, (dict(self._primary),)
 
 
 def parse_group_literal(text: str) -> FiniteAbelianGroup:
@@ -350,7 +359,10 @@ def l_subgroups(
     Functions and Hall Polynomials, ch. II).  So the tuple is the
     lexicographically first one of elements of orders l^e, e descending,
     that spans S as a direct sum; its equal-exponent entries ascend.
+    An exponent below 1 raises ValueError.
     """
+    if any(e < 1 for e in exponents):
+        raise ValueError(f"subgroup exponents must be >= 1, got {min(exponents)}")
     orders = g.factor_orders
     want = sorted(exponents, reverse=True)
     top = want[0] if want else 0

@@ -21,6 +21,7 @@ it, and it holds only p^e classes.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import accumulate, count, pairwise
 from math import gcd, isqrt
 
 from .arith import _SMALL_PRIMES, _primes_below, factorint, sqrt_mod
@@ -350,8 +351,7 @@ def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticFo
 
 
 def _power(f: Triple, k: int, d: int) -> Triple:
-    result = _principal(d)
-    base = _reduce(*f, d)
+    result, base = _principal(d), f
     while k:
         if k & 1:
             result = _compose(result, base, d)
@@ -419,16 +419,13 @@ def _sylow_exponents(d: int, h: int, p: int, e: int) -> list[int]:
 
     f -> f^(h/p^e) maps the prime forms (`_prime_forms`) onto generators of
     S.  For e = 1, S is Z/p: the first image g != 1 gives it, once g^p = 1 is
-    checked.  For e >= 2, the images, taken until they span p^e classes,
-    generate S, and its exponents are read off |p^k S| = |S| / |S[p^k]|,
-    p^k S being spanned by the p^k-th powers of those generators.
-    Composition is checked on the way: an e = 1 image must exist and have
-    order p, an e >= 2 span must reach exactly p^e, and every socle count
-    must be a power of p; otherwise ArithmeticError.
+    checked, in O(log p) compositions where a span would take p - 1.  For
+    e >= 2, `_p_group_exponents` reads S and every p^k S from the images in
+    one layer loop.  Composition is checked on the way (an e = 1 image must
+    exist and have order p); otherwise ArithmeticError.
     """
     identity = _principal(d)
-    q = p**e
-    images = (_power(f, h // q, d) for f in _prime_forms(d))
+    images = (_power(f, h // p**e, d) for f in _prime_forms(d))
     if e == 1:
         g = next((g for g in images if g != identity), identity)
         if g == identity:
@@ -436,59 +433,54 @@ def _sylow_exponents(d: int, h: int, p: int, e: int) -> list[int]:
         if _power(g, p, d) != identity:
             raise ArithmeticError(f"the image g = f^(h/{p}) != 1 has g^{p} != 1; composition is broken")
         return [1]
-    sylow, gens = _span(images, identity, q, d)
-    if len(sylow) != q:
-        raise ArithmeticError("Sylow span falls short of its order; composition is broken")
-    return _p_group_exponents(gens, identity, p, e, d)
-
-
-def _span(
-    gens: Iterable[Triple], identity: Triple, order: int, d: int
-) -> tuple[list[Triple], list[Triple]]:
-    """The classes spanned by gens, grown coset by coset, and the gens that grew it.
-
-    Stops taking gens once the span has `order` classes, and raises
-    ArithmeticError if it outgrows that.
-    """
-    elements, members, used = [identity], {identity}, []
-    for g in gens:
-        span = elements[:]
-        power = g
-        while power not in members:
-            coset = [power] + [_compose(power, x, d) for x in span[1:]]
-            elements += coset
-            members.update(coset)
-            if len(elements) > order:
-                raise ArithmeticError("span outgrows its group order; composition is broken")
-            power = _compose(power, g, d)
-        if len(elements) > len(span):
-            used.append(g)
-        if len(elements) == order:
-            break
-    return elements, used
+    return _p_group_exponents(images, identity, p, e, d)
 
 
 def _p_group_exponents(
-    gens: list[Triple], identity: Triple, p: int, e: int, d: int
+    gens: Iterable[Triple], identity: Triple, p: int, e: int, d: int
 ) -> list[int]:
-    """Cyclic exponents, ascending, of the p-group S of order p^e that gens span."""
-    # logs[k] = log_p |p^k S|; the factors with exponent > k number logs[k] - logs[k+1]
-    logs = [e]
-    while logs[-1]:
-        gens = [_power(g, p, d) for g in gens]
-        # p^k S is a proper subgroup of p^(k-1) S, so at most p^(logs[-1] - 1) classes
-        layer, gens = _span(gens, identity, p ** (logs[-1] - 1), d)
-        log = 0
-        while p**log < len(layer):
-            log += 1
+    """Cyclic exponents, ascending, of the p-group S of order p^e that gens generate.
+
+    Layer k is p^k S, spanned coset by coset until it reaches its bound.
+    Layer 0 is spanned by gens, taken until it has p^e classes.  Layer k + 1
+    is spanned by the p-th powers of the gens that grew layer k, and as a
+    proper subgroup has at most a p-th of its classes.  The loop stops at the
+    first layer of one class.  r_k = log_p |p^k S / p^(k+1) S| counts the
+    cyclic factors of exponent > k, so the exponents are the conjugate of r.
+    Composition is checked: no layer may outgrow its bound, layer 0 must
+    reach p^e exactly, and every later layer's size must be a power of p;
+    otherwise ArithmeticError.  In a group r never rises; a broken r that
+    does is replaced by its running minimum, whose conjugate falls short of
+    p^e, so `_structure` refuses it.
+    """
+    logs: list[int] = []  # logs[k] = log_p |p^k S|
+    bound = p**e
+    while True:
+        layer, members, used = [identity], {identity}, []
+        for g in gens:
+            span, power = layer[:], g
+            while power not in members:
+                coset = [power] + [_compose(power, x, d) for x in span[1:]]
+                layer += coset
+                members.update(coset)
+                if len(layer) > bound:
+                    raise ArithmeticError("span outgrows its group order; composition is broken")
+                power = _compose(power, g, d)
+            if len(layer) > len(span):
+                used.append(g)
+            if len(layer) == bound:
+                break
+        if not logs and len(layer) != bound:
+            raise ArithmeticError("Sylow span falls short of its order; composition is broken")
+        log = next(k for k in count() if p**k >= len(layer))
         if p**log != len(layer):
             raise ArithmeticError("socle count is not a power of p; composition is broken")
         logs.append(log)
-    above = [logs[k] - logs[k + 1] for k in range(len(logs) - 1)] + [0]
-    exps: list[int] = []
-    for k in range(1, len(logs)):
-        exps.extend([k] * (above[k - 1] - above[k]))
-    return exps
+        if not log:
+            break
+        gens, bound = [_power(g, p, d) for g in used], len(layer) // p
+    ranks = list(accumulate((a - b for a, b in pairwise(logs)), min))
+    return [sum(r >= i for r in ranks) for i in range(ranks[0], 0, -1)]
 
 
 def fundamental_discriminants(bound: int) -> list[int]:

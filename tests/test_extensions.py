@@ -636,7 +636,8 @@ def _predicted_uniqueness(mu: tuple[int, ...], exps: tuple[int, ...]) -> tuple[b
     With r = len(mu) and n = len(exps): a case passes exactly when the sub is
     trivial, or n = 0, or the sub is homocyclic with n >= r; the saturation
     level is k_{n-r+1}, the r-th largest exponent (k_n for the trivial sub,
-    0 when n = 0 or n < r).  This is checked on the grid below, not proven.
+    0 when n = 0 or n < r).  `verify_uniqueness`'s docstring proves the
+    rule; the grid below checks it against the witness search.
     """
     r, n = len(mu), len(exps)
     passed = r == 0 or n == 0 or (len(set(mu)) == 1 and n >= r)
@@ -660,6 +661,51 @@ def test_uniqueness_predicate_on_a_grid():
                     )
                     checked += 1
     assert checked == 386
+
+
+def _plus(mu: tuple[int, ...], nu: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(a + b for a, b in itertools.zip_longest(mu, nu, fillvalue=0))
+
+
+def test_classes_at_saturation_are_a_schur_expansion():
+    # verify_uniqueness's proof on the grid above: for n >= r >= 1 the types kept at
+    # saturation s are the terms alpha of s_mu * s_beta in r variables, beta = (nu - s)+,
+    # each with s added to its r parts and nu's parts below s appended; one term exactly
+    # for homocyclic mu, else mu + beta and mu + beta - e_j + e_r among them; for n < r
+    # both mu + nu and mu U nu survive at s = 0
+    exponent_sets = [c for k in (0, 1, 2, 3) for c in itertools.combinations(range(1, 6), k)]
+    expansions = shorter = 0
+    for prime, top in ((2, 12), (3, 8)):
+        for size in range(1, 5):
+            for mu in partitions_desc(size):
+                r = len(mu)
+                for exps in exponent_sets:
+                    if size + sum(exps) > top or not exps:
+                        continue
+                    case = spec(prime, G.from_prime_exponents(prime, mu), exps)
+                    sat = extensions._saturation(case)
+                    kept = {part for part, level in extensions._survival_levels(case) if level >= sat}
+                    nu = exps[::-1]
+                    if len(exps) < r:
+                        assert sat == 0 and {_plus(mu, nu), tuple(sorted(mu + nu, reverse=True))} <= kept
+                        shorter += 1
+                        continue
+                    beta = tuple(k - sat for k in nu if k > sat)
+                    terms = [
+                        alpha for alpha in partitions_desc(size + sum(beta))
+                        if len(alpha) <= r and extensions._lr_nonzero(alpha, mu, beta)
+                    ]
+                    below = tuple(k for k in nu if k < sat)
+                    assert kept == {_plus(alpha, (sat,) * r) + below for alpha in terms}, (prime, mu, exps)
+                    first = _plus(mu, beta)
+                    if len(set(mu)) == 1:
+                        assert terms == [first], (mu, exps)
+                    else:
+                        j = sum(1 for part in mu if part > mu[-1])
+                        second = _plus(first, (0,) * (j - 1) + (-1,) + (0,) * (r - j - 1) + (1,))
+                        assert {first, second} <= set(terms), (mu, exps)
+                    expansions += 1
+    assert (expansions, shorter) == (213, 106)
 
 
 # -- diagram checks --------------------------------------------------------------------

@@ -495,6 +495,9 @@ def test_subgroup_generators_examples():
     g = G(2, 4)  # coordinates (mod 4, mod 2)
     assert list(l_subgroups(g, 2, (2,))) == [((1, 0),), ((1, 1),)]
     assert list(l_subgroups(g, 2, (1, 1))) == [((0, 1), (2, 0))]
+    for exponents, bad in (([0], "0"), ([-1], "-1"), ([1, -1], "-1")):
+        with pytest.raises(ValueError, match=f"exponents must be >= 1, got {bad}$"):
+            next(l_subgroups(g, 2, exponents))
 
 
 def test_quotient_examples():

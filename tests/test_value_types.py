@@ -115,6 +115,21 @@ def test_records_refuse_wrong_fields(cls, fields):
         cls(*values, values[-1])
 
 
+def test_groups_are_immutable_values():
+    g = G(2, 4)
+    cells = {g: (-35,)}
+    with pytest.raises(AttributeError):
+        g._primary = ((3, (1,)),)
+    with pytest.raises(AttributeError):
+        del g._factor_orders
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    assert (str(g), g.order, g.primes) == ("2,4", 8, (2,)) and cells[G(4, 2)] == (-35,)
+    for h in (G(), g, G(9, 2, 7), G.from_prime_exponents(10**12 + 39, (2, 1))):
+        for twin in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+            assert twin == h and hash(twin) == hash(h) and str(twin) == str(h)
+
+
 def test_record_equality_is_by_class_and_value():
     assert ProfiniteDescriptor(1) != DiscreteTorsionDescriptor(1)
     assert hash(ProfiniteDescriptor(1)) == hash(ProfiniteDescriptor(1))
