@@ -178,8 +178,8 @@ def classify_field(
 
 
 def types_isomorphic(t1: GaloisAbelianType, t2: GaloisAbelianType) -> bool:
-    """Types agree exactly when the split groups are isomorphic."""
-    return t1.split_group == t2.split_group
+    """Types agree exactly when their split groups, a type's one field, are isomorphic."""
+    return t1 == t2
 
 
 class BatchError(_Record):
@@ -319,9 +319,5 @@ def function_field_type(inp: FunctionFieldInput) -> FunctionFieldType:
 
 
 def function_field_isomorphic(a: FunctionFieldType, b: FunctionFieldType) -> bool:
-    """The three-condition test: same p, same d_K, isomorphic non-p class parts."""
-    return (
-        a.characteristic == b.characteristic
-        and a.prime_to_p_exponent == b.prime_to_p_exponent
-        and a.nonp_class == b.nonp_class
-    )
+    """The three-condition test, on a type's three fields: same p, same d_K, same non-p class."""
+    return a == b

@@ -96,39 +96,33 @@ def _parse_split_table(path: str, text: str) -> dict[int, FiniteAbelianGroup]:
     """
     user: dict[int, FiniteAbelianGroup] = {}
     lines: dict[int, int] = {}  # discriminant -> line that gave it
-    groups: dict[str, FiniteAbelianGroup] = {}  # literal text as written -> parsed group
+    groups: dict[str, FiniteAbelianGroup] = {}  # stripped literal text -> parsed group
     for lineno, line in enumerate(text.splitlines(), start=1):
         entry = line.strip()
         if not entry or entry[0] == "#":
             continue
-        if entry[0] == "{" or entry[-1] in "},":
-            entry = entry.lstrip("{").rstrip("}").strip().rstrip(",").strip()
-            if not entry:
-                continue
+        entry = entry.lstrip("{").rstrip("}").strip().rstrip(",").strip()
+        if not entry:
+            continue
         disc_text, colon, group_text = entry.partition(":")
         if not colon:
             raise FormatError(f"{path} line {lineno}: expected 'discriminant: group'")
+        disc_text, group_text = disc_text.strip(), group_text.strip()
         try:
-            disc = int(disc_text)  # int() skips padding as str.strip() does, but for "\x1f"
+            disc = int(disc_text)
         except ValueError:
-            try:
-                disc = int(disc_text.strip())
-            except ValueError:
-                raise FormatError(
-                    f"{path} line {lineno}: bad discriminant {disc_text.strip()!r}"
-                ) from None
+            raise FormatError(f"{path} line {lineno}: bad discriminant {disc_text!r}") from None
         if disc in lines:
             raise FormatError(
                 f"{path} line {lineno}: discriminant {disc} already given on line {lines[disc]}"
             )
         lines[disc] = lineno
-        group = groups.get(group_text)
-        if group is None:
+        if group_text not in groups:
             try:
-                group = groups[group_text] = parse_group_literal(group_text.strip())
+                groups[group_text] = parse_group_literal(group_text)
             except ValueError as exc:
                 raise FormatError(f"{path} line {lineno}: {exc}") from None
-        user[disc] = group
+        user[disc] = groups[group_text]
     return user
 
 
@@ -147,10 +141,6 @@ def _read_discriminants(path: str) -> list[int]:
 
 def _split_table_from_args(args) -> SplitTable:
     return load_split_table(args.split_table) if args.split_table else SplitTable()
-
-
-def _load_descriptor(path: str):
-    return descriptor_from_text(_read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +250,7 @@ def _cmd_verify_uniqueness(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_dual(args) -> tuple[dict, list[str], int]:
-    d = _load_descriptor(args.input)
+    d = descriptor_from_text(_read_text(args.input))
     if isinstance(d, ProfiniteDescriptor):
         out = dual_profinite(d)
     else:
@@ -272,7 +262,7 @@ def _cmd_dual(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_truncate(args) -> tuple[dict, list[str], int]:
-    d = _load_descriptor(args.input)
+    d = descriptor_from_text(_read_text(args.input))
     try:
         grp = truncate(d, args.prime, args.max_exp, args.cap, args.free_level)
     except ValueError as exc:

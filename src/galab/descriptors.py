@@ -24,7 +24,11 @@ from .finabelian import FiniteAbelianGroup, _Record
 
 
 class Aleph0:
-    """The countably infinite multiplicity; absorbing under addition."""
+    """The countably infinite multiplicity; absorbing under addition.
+
+    It orders itself above every int and equal to itself, so builtin `min`
+    and `max` accept a mix of cardinals.
+    """
 
     _instance: "Aleph0 | None" = None
     __slots__ = ()
@@ -70,14 +74,6 @@ MAX_TRUNCATION_FACTORS = 100_000
 # Most decimal digits a factor order l^k of a finite model may have: Python's
 # default limit for converting an int to text, which group literals need.
 MAX_ORDER_DIGITS = 4300
-
-
-def card_min(a: Card, b: Card) -> Card:
-    if isinstance(a, Aleph0):
-        return b
-    if isinstance(b, Aleph0):
-        return a
-    return min(a, b)
 
 
 def _card_ok(c: Card) -> bool:
@@ -292,7 +288,7 @@ def truncate(
         size = max_exp * mult_cap
         top = max_exp if mult_cap else 0
     else:
-        blocks = [(k, card_min(m, mult_cap)) for k, m in rec.cyclic if k <= max_exp]
+        blocks = [(k, min(m, mult_cap)) for k, m in rec.cyclic if k <= max_exp]
         size = sum(count for _, count in blocks)
         top = max((k for k, count in blocks if count), default=0)
     size += unit_count

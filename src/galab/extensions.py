@@ -275,7 +275,7 @@ def _witness(b: FiniteAbelianGroup, spec: TruncationSpec, level: int) -> tuple[G
     l = spec.prime
     scale = l ** level
     mu = spec.sub.exponents_at(l)
-    inner = FiniteAbelianGroup.from_prime_exponents(l, [e - level for e in b.exponents_at(l)])
+    inner = FiniteAbelianGroup.from_prime_exponents(l, [e - level for e in b.exponents_at(l) if e > level])
     pad = (0,) * (len(b.factor_orders) - len(inner.factor_orders))
     c_group = spec.quotient_group
     for generators in l_subgroups(inner, l, mu):
@@ -487,10 +487,6 @@ class DiagramCheck(_Record):
         return self.passed
 
 
-def _fail(reason: str, witness: GroupElement | None = None) -> DiagramCheck:
-    return DiagramCheck(False, reason, witness)
-
-
 def verify_diagram(
     prime: int,
     sub: FiniteAbelianGroup,
@@ -539,7 +535,7 @@ def verify_diagram(
             mu, nu = sub.exponents_at(prime), spec.quotient_exponents[::-1]
             level = _survival_level(model.exponents_at(prime), mu, nu)
         if level is None:
-            return _fail("model admits no sub-copy with the required quotient")
+            return DiagramCheck(False, "model admits no sub-copy with the required quotient")
     if sub.is_trivial or (level == saturation and n <= saturation):
         return DiagramCheck(True)
     if model is None:
@@ -554,7 +550,7 @@ def verify_diagram(
     if hit is None:
         raise AssertionError(f"the types fail {spec} at {prime}^{n} on {b}, but the witness passes")
     if level < saturation:
-        return _fail(f"sub element not divisible by {prime}^{level + 1} in the model", hit[0])
+        return DiagramCheck(False, f"sub element not divisible by {prime}^{level + 1} in the model", hit[0])
     # characters of B are coordinate vectors under <c, x> = sum (e/d_i) c_i x_i mod e;
     # (d_i / gcd(d_i, l^n)) e_i is killed by l^n and pairs non-trivially with s
     s, i = hit
@@ -562,7 +558,8 @@ def verify_diagram(
     chi = tuple(d // gcd(d, mult) if j == i else 0 for j in range(len(s.coords)))
     dual_size = power_and_socle(b, mult)[1].order
     tower_size = power_and_socle(spec.quotient_group, mult)[1].order
-    return _fail(
+    return DiagramCheck(
+        False,
         f"socle sizes differ at {prime}^{n}: dual has {dual_size}, tower has {tower_size}",
         GroupElement(b, chi),
     )

@@ -146,8 +146,11 @@ class FiniteAbelianGroup:
 
     @classmethod
     def from_prime_exponents(cls, prime: int, exponents: Iterable[int]) -> FiniteAbelianGroup:
-        """Build an l-group directly from cyclic exponents, skipping factorization."""
-        exps = [e for e in map(operator.index, exponents) if e > 0]
+        """Build an l-group directly from cyclic exponents, skipping factorization.
+
+        Zero exponents are dropped; a negative one raises ValueError.
+        """
+        exps = [e for e in map(operator.index, exponents) if e]
         return cls._from_primary({prime: exps} if exps else {})
 
     # -- canonical data ----------------------------------------------------

@@ -482,7 +482,3 @@ def _p_group_exponents(
     ranks = list(accumulate((a - b for a, b in pairwise(logs)), min))
     return [sum(r >= i for r in ranks) for i in range(ranks[0], 0, -1)]
 
-
-def fundamental_discriminants(bound: int) -> list[int]:
-    """All fundamental discriminants D with -bound < D < 0, descending from -3."""
-    return [d for d in range(-3, -bound, -1) if is_fundamental(d)]

@@ -10,6 +10,7 @@ coordinate tuples, one residue per factor of `factor_orders`.
 off a general integer Smith normal form: the oracle for `quotient`.
 `form_power` and `form_inverse` do class arithmetic on reduced forms through
 the public `compose`, `reduce_form` and `principal_form`.
+`fundamental_discriminants` lists the fields the class-group tests sweep.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from galab.finabelian import (
     l_subgroups,
     partitions_desc,
 )
-from galab.quadfields import BinaryQuadraticForm, compose, principal_form, reduce_form
+from galab.quadfields import BinaryQuadraticForm, compose, is_fundamental, principal_form, reduce_form
 
 
 def abelian_groups_of_order(n: int) -> list[FiniteAbelianGroup]:
@@ -170,3 +171,8 @@ def form_power(f: BinaryQuadraticForm, k: int) -> BinaryQuadraticForm:
 def form_inverse(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
     """The reduced form of the inverse class of f: (a, -b, c), reduced."""
     return reduce_form(BinaryQuadraticForm(f.a, -f.b, f.c))
+
+
+def fundamental_discriminants(bound: int) -> list[int]:
+    """All fundamental discriminants D with -bound < D < 0, descending from -3."""
+    return [d for d in range(-3, -bound, -1) if is_fundamental(d)]

@@ -40,11 +40,10 @@ from galab.finabelian import FiniteAbelianGroup, dual_finite
 from galab.quadfields import (
     class_group,
     compose,
-    fundamental_discriminants,
     principal_form,
     reduced_forms,
 )
-from group_helpers import abelian_groups_of_order, form_inverse
+from group_helpers import abelian_groups_of_order, form_inverse, fundamental_discriminants
 
 G = FiniteAbelianGroup
 TEN = SPLIT_TABLE_DISCRIMINANTS

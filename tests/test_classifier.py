@@ -41,7 +41,8 @@ from galab.errors import (
     exit_code_for,
 )
 from galab.finabelian import FiniteAbelianGroup, embeds_in, group_literal, parse_group_literal
-from galab.quadfields import class_group, class_number, fundamental_discriminants
+from galab.quadfields import class_group, class_number
+from group_helpers import fundamental_discriminants
 
 G = FiniteAbelianGroup
 

@@ -310,6 +310,7 @@ def table_lines(draw) -> str:
 @example("\x1f-3\x1f: 2\n-5 :\t2,\n{-7: 2}")
 @example("-3: 2\n# -3: 2\n-3 : 3")
 @example("# a table\n{ -3: 2,\n\t-4 :2, 3 ,\n\n-5\xa0: 2,2 }\n")
+@example("{# note}\n-3: 2")  # "#" is tested before the braces are stripped
 def test_split_table_reader_matches_the_two_pass_oracle(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "table.txt")

@@ -18,7 +18,6 @@ from galab.descriptors import (
     DiscreteTorsionDescriptor,
     LocalFactors,
     ProfiniteDescriptor,
-    card_min,
     descriptor_from_document,
     descriptor_from_text,
     descriptor_to_document,
@@ -50,10 +49,10 @@ def test_aleph0_semantics():
     assert ALEPH0 > 10 ** 9
     assert not ALEPH0 < 3
     assert ALEPH0 >= ALEPH0 and ALEPH0 <= ALEPH0
-    assert card_min(ALEPH0, 4) == 4
-    assert card_min(3, ALEPH0) == 3
-    assert card_min(ALEPH0, ALEPH0) == ALEPH0
-    assert card_min(2, 7) == 2
+    assert min(ALEPH0, 4) == 4
+    assert min(3, ALEPH0) == 3
+    assert min(ALEPH0, ALEPH0) == ALEPH0
+    assert min(2, 7) == 2
     assert repr(ALEPH0) == "ALEPH0"
 
 

@@ -459,10 +459,15 @@ def test_search_runs_only_for_survivor_witnesses(monkeypatch):
     assert len(report.classes) == 8
     # one search per survivor, in l^level B
     at_levels = [
-        G.from_prime_exponents(2, [e - c.max_level for e in c.group.exponents_at(2)])
+        G.from_prime_exponents(2, [e - c.max_level for e in c.group.exponents_at(2) if e > c.max_level])
         for c in report.classes
     ]
     assert sorted(searched, key=G.sort_key) == sorted(at_levels, key=G.sort_key)
+    # B = Z/2 + Z/16 survives at level 3, above its Z/2 factor, so l^3 B is Z/2
+    searched.clear()
+    deep = enumerate_extensions(spec(2, G(2), [1, 3], m=3)).to_document()["classes"]
+    assert deep == [{"group": "2,16", "max_level": 3, "sub_generators": [[8, 0]], "quotient": "2,8"}]
+    assert searched == [G(2)]
     searched.clear()
     monkeypatch.setattr(extensions, "enumerate_extensions", no_enumeration)
     for n in (1, 2):

@@ -206,6 +206,11 @@ def test_isomorphism_examples():
             G(order)
     # and so are primes and exponents
     assert G.from_prime_exponents(2, [_Four(), 0, 1]) == G(16, 2)
+    # zero exponents are dropped, a negative one is refused
+    assert G.from_prime_exponents(2, (3, 0)) == G(8)
+    for exps in ((3, -2), (-1,)):
+        with pytest.raises(ValueError, match="positive"):
+            G.from_prime_exponents(2, exps)
     for prime, exps in ((2, [2.5]), (2, [2.0]), (2, [1, 0.5]), (2.0, [1])):
         with pytest.raises(TypeError):
             G.from_prime_exponents(prime, exps)

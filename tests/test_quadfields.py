@@ -24,13 +24,12 @@ from galab.quadfields import (
     class_group,
     class_number,
     compose,
-    fundamental_discriminants,
     is_fundamental,
     principal_form,
     reduce_form,
     reduced_forms,
 )
-from group_helpers import form_inverse, form_power
+from group_helpers import form_inverse, form_power, fundamental_discriminants
 
 G = FiniteAbelianGroup
 BQF = BinaryQuadraticForm
