@@ -28,7 +28,7 @@ _EXPORTS = {
         "full_tower_descriptor prime_tower_descriptor truncate"
     ),
     "errors": (
-        "BoundExceeded ContainmentError DiscriminantMismatch ExcludedField FormatError "
+        "BoundExceeded ContainmentError ExcludedField FormatError "
         "GalabError InvalidCharacteristic KindMismatch NotFundamental "
         "SplitDataUnavailable"
     ),
@@ -40,10 +40,7 @@ _EXPORTS = {
         "FiniteAbelianGroup GroupElement dual_finite group_literal hom_group "
         "parse_group_literal power_and_socle quotient"
     ),
-    "quadfields": (
-        "BinaryQuadraticForm ClassGroup class_group class_number compose is_fundamental "
-        "principal_form reduce_form reduced_forms"
-    ),
+    "quadfields": "ClassGroup class_group class_number is_fundamental",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -228,7 +228,8 @@ def _cmd_verify_uniqueness(args) -> tuple[dict, list[str], int]:
     exponent_lists = []
     for text in args.exponents:
         try:
-            exps = tuple(int(x) for x in text.split(",") if x.strip())
+            # a blank value is the empty list; any other empty entry is refused by int()
+            exps = tuple(int(x) for x in text.split(",")) if text.strip() else ()
         except ValueError:
             raise UsageError(f"bad exponent list {text!r}")
         exponent_lists.append(exps)

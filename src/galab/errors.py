@@ -19,10 +19,6 @@ class NotFundamental(DomainError):
     """The integer is not a fundamental discriminant of an imaginary quadratic field."""
 
 
-class DiscriminantMismatch(DomainError):
-    """Binary quadratic forms of different discriminants cannot be composed."""
-
-
 class ExcludedField(DomainError):
     """The two excluded fields (discriminants -4 and -8) have no assigned type."""
 

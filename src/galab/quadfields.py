@@ -7,11 +7,10 @@ CRT from its parent's (Cohen, A Course in Computational Algebraic Number
 Theory, §1.5 and §5.3), so the listing costs about sqrt|D| steps.  The
 class number is counted by the same walk with no form kept: while
 4a^2 < |D|, each a carries one form per b mod 2a with b^2 = D (mod 4a),
-a number that Legendre symbols give (`class_number`).  Classes compose by
-Shanks' composition (Cohen, Algorithm 5.4.7) followed by reduction.  The
-arithmetic runs on plain (a, b, c) triples;
-`BinaryQuadraticForm` objects are built only by the public functions and
-`ClassGroup.representatives`. The class group structure is read off each
+a number that Legendre symbols give (`class_number`).  Classes are composed
+by Shanks' composition (Cohen, Algorithm 5.4.7) followed by reduction.  A
+form is a plain (a, b, c) triple throughout, with the discriminant passed
+alongside.  The class group structure is read off each
 Sylow p-subgroup, the image of f -> f^(h/p^e) on the prime forms, which
 generate the class group (`_prime_forms`).  For p exactly dividing h it is
 Z/p, and one image g != 1 with g^p = 1 shows it; for e >= 2 the images span
@@ -25,7 +24,7 @@ from itertools import accumulate, count, pairwise
 from math import gcd, isqrt
 
 from .arith import _SMALL_PRIMES, _primes_below, factorint, sqrt_mod
-from .errors import BoundExceeded, DiscriminantMismatch, NotFundamental
+from .errors import BoundExceeded, NotFundamental
 from .finabelian import FiniteAbelianGroup, _Record
 
 # Largest |D| whose reduced forms are enumerated.  The listing takes about
@@ -59,50 +58,19 @@ def _require_fundamental(d: int) -> int:
     return d
 
 
-class BinaryQuadraticForm(_Record):
-    """A positive-definite integral binary quadratic form a x^2 + b xy + c y^2."""
-
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self, a: int, b: int, c: int) -> None:
-        if a <= 0 or b * b - 4 * a * c >= 0:
-            raise ValueError(f"form ({a},{b},{c}) is not positive definite")
-        super().__init__(a, b, c)
-
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    @property
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if not (abs(b) <= a <= c):
-            return False
-        if (abs(b) == a or a == c) and b < 0:
-            return False
-        return True
-
-    def __str__(self) -> str:
-        return format_form((self.a, self.b, self.c))
-
-
 def format_form(form: Triple) -> str:
     """A form (a, b, c) as printed: "(a,b,c)"."""
     return "(%d,%d,%d)" % form
 
 
 def _principal(d: int) -> Triple:
+    """The identity class: (1, 0, -D/4) or (1, 1, (1-D)/4)."""
     b0 = d % 2
     return 1, b0, (b0 - d) // 4
 
 
-def principal_form(d: int) -> BinaryQuadraticForm:
-    """The identity class: (1, 0, -D/4) or (1, 1, (1-D)/4)."""
-    if d % 4 in (2, 3):
-        raise ValueError(f"{d} is not a discriminant: D must be 0 or 1 mod 4")
-    return BinaryQuadraticForm(*_principal(d))
-
-
 def _reduce(a: int, b: int, c: int, d: int) -> Triple:
+    """The unique reduced form equivalent to (a, b, c) of discriminant d."""
     while True:
         if -a < b <= a:
             if a < c or (a == c and b >= 0):
@@ -114,11 +82,6 @@ def _reduce(a: int, b: int, c: int, d: int) -> Triple:
         if b > a:
             b -= 2 * a
         c = (b * b - d) // (4 * a)
-
-
-def reduce_form(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
-    """The unique reduced form equivalent to f."""
-    return BinaryQuadraticForm(*_reduce(f.a, f.b, f.c, f.discriminant()))
 
 
 def _require_enumerable(d: int) -> int:
@@ -201,7 +164,19 @@ def _prime_forms(dv: int) -> Iterator[Triple]:
 
 
 def _reduced_triples(d: int) -> list[Triple]:
-    """The reduced forms of a fundamental discriminant as sorted triples; see reduced_forms."""
+    """The complete list of reduced forms of a fundamental discriminant, as sorted triples.
+
+    A reduced form (a, b, c) has a <= sqrt(|D|/3) and -a < b <= a with
+    b^2 = D (mod 4a); these b, read mod 2a, exist only if no prime factor of
+    a is inert.  A depth-first walk builds just those a = 2^v p1^k1 ... pn^kn
+    (odd primes ascending), each from its parent and one prime power q by
+    one CRT step with the roots of D mod q, which `sqrt_mod` gives once per
+    q (an odd p | D gives the root 0, to the first power only, since D is
+    fundamental).  An ascending pass over a keeps (a, b, c), with
+    c = (b^2 - D)/4a, when it is reduced, so the list comes out sorted.  The
+    work grows like sqrt|D|, the count is the class number.  |D| above
+    MAX_ENUMERATED_DISCRIMINANT raises BoundExceeded before any enumeration.
+    """
     dv = _require_enumerable(d)
     amax = isqrt(-dv // 3)
     # walk entries (a, the b mod 2a with b^2 = D (mod 4a), index into powers of the next
@@ -228,23 +203,6 @@ def _reduced_triples(d: int) -> list[Triple]:
     return _reduced_from(enumerate(slots), dv)
 
 
-def reduced_forms(d: int) -> list[BinaryQuadraticForm]:
-    """The complete list of reduced forms of a fundamental discriminant, sorted.
-
-    A reduced form (a, b, c) has a <= sqrt(|D|/3) and -a < b <= a with
-    b^2 = D (mod 4a); these b, read mod 2a, exist only if no prime factor of
-    a is inert.  A depth-first walk builds just those a = 2^v p1^k1 ... pn^kn
-    (odd primes ascending), each from its parent and one prime power q by
-    one CRT step with the roots of D mod q, which `sqrt_mod` gives once per
-    q (an odd p | D gives the root 0, to the first power only, since D is
-    fundamental).  An ascending pass over a keeps (a, b, c), with
-    c = (b^2 - D)/4a, when it is reduced, so the list comes out sorted.  The
-    work grows like sqrt|D|, the count is the class number.  |D| above
-    MAX_ENUMERATED_DISCRIMINANT raises BoundExceeded before any enumeration.
-    """
-    return [BinaryQuadraticForm(*f) for f in _reduced_triples(d)]
-
-
 def class_number(d: int) -> int:
     """The class number of a fundamental discriminant: its reduced forms, counted.
 
@@ -256,11 +214,11 @@ def class_number(d: int) -> int:
     of roots `_two_adic_roots` lifts, an odd prime power p^k with p not
     dividing D has rho = 1 + (D/p) by Hensel's lemma, and an odd p | D has
     rho = 1 at k = 1 and 0 above, since D is fundamental.  So the walk of
-    `reduced_forms` adds up products of these counts, with one Euler
+    `_reduced_triples` adds up products of these counts, with one Euler
     criterion per odd prime p <= sqrt(|D|/3) and no roots.  Only the a of
     the band 4a^2 >= |D| get their roots, by CRT from `sqrt_mod`, and are
     counted by the listing's own rule, `_reduced_from`.  NotFundamental, then
-    BoundExceeded, are raised as by `reduced_forms`.
+    BoundExceeded, are raised as by `_reduced_triples`.
     """
     dv = _require_enumerable(d)
     amax = isqrt(-dv // 3)
@@ -314,6 +272,12 @@ def _roots_along(path: tuple | int, twos: list[list[int]], dv: int) -> list[int]
 
 
 def _compose(f: Triple, g: Triple, d: int) -> Triple:
+    """Gauss composition of classes, as reduced forms.
+
+    Shanks' formula (Cohen, Algorithm 5.4.7), with the form of smaller a
+    first.  A product that is not a form of discriminant d raises
+    ArithmeticError.
+    """
     if f[0] > g[0]:
         f, g = g, f
     a1, b1, _ = f
@@ -335,22 +299,8 @@ def _compose(f: Triple, g: Triple, d: int) -> Triple:
     return _reduce(a, b, c, d)
 
 
-def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticForm:
-    """Gauss composition of classes, as reduced forms.
-
-    Shanks' formula (Cohen, Algorithm 5.4.7), with the form of smaller a
-    first.  A product that is not a form of discriminant D raises
-    ArithmeticError.
-    """
-    d = f.discriminant()
-    if d != g.discriminant():
-        raise DiscriminantMismatch(
-            f"cannot compose forms of discriminants {d} and {g.discriminant()}"
-        )
-    return BinaryQuadraticForm(*_compose((f.a, f.b, f.c), (g.a, g.b, g.c), d))
-
-
 def _power(f: Triple, k: int, d: int) -> Triple:
+    """The reduced form of the class f^k, k >= 0, by square and multiply."""
     result, base = _principal(d), f
     while k:
         if k & 1:
@@ -368,24 +318,15 @@ def _power(f: Triple, k: int, d: int) -> Triple:
 class ClassGroup(_Record):
     """The form class group of a fundamental discriminant.
 
-    `forms` holds the reduced forms as sorted (a, b, c) triples, which
-    `representatives` builds as BinaryQuadraticForm objects on access;
-    `structure` is a FiniteAbelianGroup.
+    `forms` holds the reduced forms as sorted (a, b, c) triples, the
+    principal form first; `structure` is a FiniteAbelianGroup.
     """
 
     __slots__ = ("discriminant", "forms", "structure")
 
     @property
-    def representatives(self) -> tuple[BinaryQuadraticForm, ...]:
-        return tuple([BinaryQuadraticForm(*f) for f in self.forms])
-
-    @property
     def order(self) -> int:
         return len(self.forms)
-
-    @property
-    def principal(self) -> BinaryQuadraticForm:
-        return principal_form(self.discriminant)
 
     def __str__(self) -> str:
         reps = ", ".join(map(format_form, self.forms))

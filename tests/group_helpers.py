@@ -8,8 +8,9 @@ from generators by brute force.
 coordinate tuples, one residue per factor of `factor_orders`.
 `smith_normal_form` and `from_relations` read a presentation Z^g / (rows)
 off a general integer Smith normal form: the oracle for `quotient`.
-`form_power` and `form_inverse` do class arithmetic on reduced forms through
-the public `compose`, `reduce_form` and `principal_form`.
+`form_power` and `form_inverse` do class arithmetic on forms, (a, b, c)
+triples of discriminant d, through the library's `_compose`, `_reduce` and
+`_principal`; `is_reduced` tests a triple by the definition alone.
 `fundamental_discriminants` lists the fields the class-group tests sweep.
 """
 
@@ -26,7 +27,7 @@ from galab.finabelian import (
     l_subgroups,
     partitions_desc,
 )
-from galab.quadfields import BinaryQuadraticForm, compose, is_fundamental, principal_form, reduce_form
+from galab.quadfields import Triple, _compose, _principal, _reduce, is_fundamental
 
 
 def abelian_groups_of_order(n: int) -> list[FiniteAbelianGroup]:
@@ -158,19 +159,26 @@ def from_relations(num_generators: int, relations: Sequence[Sequence[int]]) -> F
     return FiniteAbelianGroup(*diagonal)
 
 
-def form_power(f: BinaryQuadraticForm, k: int) -> BinaryQuadraticForm:
+def form_power(f: Triple, k: int, d: int) -> Triple:
     """The reduced form of the class f^k, k >= 0, by square and multiply."""
-    result, base = principal_form(f.discriminant()), reduce_form(f)
+    result, base = _principal(d), _reduce(*f, d)
     while k:
         if k & 1:
-            result = compose(result, base)
-        base, k = compose(base, base), k >> 1
+            result = _compose(result, base, d)
+        base, k = _compose(base, base, d), k >> 1
     return result
 
 
-def form_inverse(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
+def form_inverse(f: Triple, d: int) -> Triple:
     """The reduced form of the inverse class of f: (a, -b, c), reduced."""
-    return reduce_form(BinaryQuadraticForm(f.a, -f.b, f.c))
+    a, b, c = f
+    return _reduce(a, -b, c, d)
+
+
+def is_reduced(f: Triple) -> bool:
+    """|b| <= a <= c, and b >= 0 when |b| = a or a = c."""
+    a, b, c = f
+    return abs(b) <= a <= c and (b >= 0 or (abs(b) != a and a != c))
 
 
 def fundamental_discriminants(bound: int) -> list[int]:

@@ -37,12 +37,7 @@ from galab.extensions import (
     verify_uniqueness,
 )
 from galab.finabelian import FiniteAbelianGroup, dual_finite
-from galab.quadfields import (
-    class_group,
-    compose,
-    principal_form,
-    reduced_forms,
-)
+from galab.quadfields import _compose, _principal, _reduced_triples, class_group
 from group_helpers import abelian_groups_of_order, form_inverse, fundamental_discriminants
 
 G = FiniteAbelianGroup
@@ -219,17 +214,17 @@ def _brute_force_form_count(d: int) -> int:
 def test_criterion_8_form_group_axioms():
     checked = 0
     for d in fundamental_discriminants(200):
-        forms = reduced_forms(d)
-        e = principal_form(d)
+        forms = _reduced_triples(d)
+        e = _principal(d)
         idx = {f: i for i, f in enumerate(forms)}
-        table = [[idx[compose(f, g)] for g in forms] for f in forms]
+        table = [[idx[_compose(f, g, d)] for g in forms] for f in forms]
         n = len(forms)
         ie = idx[e]
         # identity, closure (via idx), commutativity, inverses
         assert all(table[ie][j] == j for j in range(n)), d
         assert all(table[i][j] == table[j][i] for i in range(n) for j in range(n)), d
         for i, f in enumerate(forms):
-            assert table[i][idx[form_inverse(f)]] == ie, d
+            assert table[i][idx[form_inverse(f, d)]] == ie, d
         # associativity, exhaustively over index triples
         for i in range(n):
             for j in range(n):

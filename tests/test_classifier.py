@@ -148,7 +148,8 @@ def test_package_names_load_from_their_modules():
     assert galab.__getattr__("extensions") is importlib.import_module("galab.extensions")
     for gone in ("galois_abelian_type", "TowerExtensionType", "descriptors_equal",
                  "subgroups_isomorphic_to", "abelian_groups_of_order", "smith_normal_form",
-                 "from_relations", "InfiniteQuotient"):
+                 "from_relations", "InfiniteQuotient", "BinaryQuadraticForm", "principal_form",
+                 "reduce_form", "reduced_forms", "compose", "DiscriminantMismatch"):
         assert not hasattr(galab, gone)
 
 

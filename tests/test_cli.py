@@ -320,6 +320,9 @@ def test_verify_uniqueness_cli(capsys):
     case = doc["cases"][0]
     assert case["canonical"] == "2,8"
     assert case["level_counts"] == {"0": 3, "1": 2, "2": 1}
+    # a blank value is the empty exponent list, n = 0
+    code, doc, _ = run_json(capsys, "verify-uniqueness", "--prime", "2", "--sub", "2", "--exponents", "")
+    assert code == 0 and [case["exponents"] for case in doc["cases"]] == [[]]
 
 
 def test_verify_uniqueness_bound(capsys):
@@ -667,6 +670,11 @@ def test_help_prints_to_stdout_and_returns_0(capsys, monkeypatch, sub):
         (
             ("verify-uniqueness", "--prime", "2", "--sub", "2", "--exponents", "1,x"),
             "bad exponent list '1,x'",
+        ),
+        # an empty entry is refused, as in a group literal; a blank value is n = 0
+        *(
+            (("verify-uniqueness", "--prime", "2", "--exponents", text), f"bad exponent list {text!r}")
+            for text in ("1,,2", ",", "1,", ",1")
         ),
     ],
 )

@@ -16,23 +16,23 @@ from sympy import primefactors
 
 from galab import cli, quadfields
 from galab.arith import factorint
-from galab.errors import BoundExceeded, DiscriminantMismatch, NotFundamental
+from galab.errors import BoundExceeded, NotFundamental
 from galab.finabelian import FiniteAbelianGroup
 from galab.quadfields import (
-    BinaryQuadraticForm,
     ClassGroup,
+    Triple,
+    _compose,
+    _principal,
+    _reduce,
+    _reduced_triples,
     class_group,
     class_number,
-    compose,
+    format_form,
     is_fundamental,
-    principal_form,
-    reduce_form,
-    reduced_forms,
 )
-from group_helpers import form_inverse, form_power, fundamental_discriminants
+from group_helpers import form_inverse, form_power, fundamental_discriminants, is_reduced
 
 G = FiniteAbelianGroup
-BQF = BinaryQuadraticForm
 
 
 def brute_force_reduced_forms(d: int) -> set[tuple[int, int, int]]:
@@ -53,7 +53,7 @@ def brute_force_reduced_forms(d: int) -> set[tuple[int, int, int]]:
     return out
 
 
-def trial_division_forms(d: int) -> list[BinaryQuadraticForm]:
+def trial_division_forms(d: int) -> list[Triple]:
     """Oracle: split (b^2 - D)/4 into a*c by trial division, for b = D mod 2 up to sqrt(|D|/3)."""
     out = []
     for b in range(d % 2, isqrt(-d // 3) + 1, 2):
@@ -62,10 +62,10 @@ def trial_division_forms(d: int) -> list[BinaryQuadraticForm]:
             if m % a:
                 continue
             c = m // a
-            out.append(BQF(a, b, c))
+            out.append((a, b, c))
             if 0 < b < a < c:
-                out.append(BQF(a, -b, c))
-    out.sort(key=lambda f: (f.a, f.b, f.c))
+                out.append((a, -b, c))
+    out.sort()
     return out
 
 
@@ -73,12 +73,12 @@ def counting_class_group(d: int) -> ClassGroup:
     """Oracle: the structure from counting the forms killed by p^k, for every p^k dividing h."""
     forms = trial_division_forms(d)
     h = len(forms)
-    identity = principal_form(d)
+    identity = _principal(d)
     primary: dict[int, list[int]] = {}
     for p, e_top in factorint(h).items():
         socle_logs = [0]
         for k in range(1, e_top + 1):
-            killed = sum(1 for f in forms if form_power(f, p**k) == identity)
+            killed = sum(1 for f in forms if form_power(f, p**k, d) == identity)
             log = 0
             while p**log < killed:
                 log += 1
@@ -89,8 +89,7 @@ def counting_class_group(d: int) -> ClassGroup:
         for k in range(1, e_top + 1):
             exps.extend([k] * (at_least[k - 1] - at_least[k]))
         primary[p] = exps
-    triples = tuple((f.a, f.b, f.c) for f in forms)
-    return ClassGroup(d, triples, FiniteAbelianGroup._from_primary(primary))
+    return ClassGroup(d, tuple(forms), FiniteAbelianGroup._from_primary(primary))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -106,7 +105,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def ideal_product_compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticForm:
+def ideal_product_compose(f: Triple, g: Triple, d: int) -> Triple:
     """Oracle: composition by multiplying ideals.
 
     A form (a, b, c) of discriminant D corresponds to the ideal
@@ -115,15 +114,15 @@ def ideal_product_compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> Bin
     products, written as rows (x, y) for x + y*omega; its Hermite basis
     [n, p + content*omega] divided by its content is the product form.
     """
-    d = f.discriminant()
-    assert d == g.discriminant()
+    assert all(b * b - 4 * a * c == d for a, b, c in (f, g))
+    (a1, b1, _), (a2, b2, _) = f, g
     b0 = d % 2
     n0 = (b0 * b0 - d) // 4
-    t1, t2 = (f.b + b0) // 2, (g.b + b0) // 2
+    t1, t2 = (b1 + b0) // 2, (b2 + b0) // 2
     rows = [
-        (f.a * g.a, 0),
-        (-f.a * t2, f.a),
-        (-g.a * t1, g.a),
+        (a1 * a2, 0),
+        (-a1 * t2, a1),
+        (-a2 * t1, a2),
         (t1 * t2 - n0, b0 - t1 - t2),
     ]
     px, py = 0, 0
@@ -138,7 +137,7 @@ def ideal_product_compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> Bin
     assert n % py == 0 and p % py == 0, "ideal product content mismatch"
     a = n // py
     b = -2 * (p // py) - b0
-    return reduce_form(BQF(a, b, (b * b - d) // (4 * a)))
+    return _reduce(a, b, (b * b - d) // (4 * a), d)
 
 
 # one discriminant per log stratum of 10^7 <= |D| < 10^8, with structures from the counting oracle
@@ -183,9 +182,9 @@ def test_is_fundamental_examples():
 def test_discriminant_type_validates():
     # every entry point that takes a discriminant accepts a fundamental one
     # and refuses the rest before it enumerates anything
-    assert class_group(-23).order == class_number(-23) == len(reduced_forms(-23)) == 3
+    assert class_group(-23).order == class_number(-23) == len(_reduced_triples(-23)) == 3
     for d in (-12, -16, -1, -6, 0, 5, 8):
-        for entry in (class_group, class_number, reduced_forms):
+        for entry in (class_group, class_number, _reduced_triples):
             with pytest.raises(NotFundamental):
                 entry(d)
 
@@ -214,18 +213,9 @@ def test_class_group_refuses_a_listing_without_the_principal_form(monkeypatch):
         class_group(-23)
 
 
-def test_principal_form_refuses_non_discriminants():
-    assert principal_form(-4) == BQF(1, 0, 1) and principal_form(-3) == BQF(1, 1, 1)
-    assert principal_form(-12) == BQF(1, 0, 3)  # any D = 0, 1 mod 4, fundamental or not
-    for d in (-5, -6, -2, -1, -22, -23 * 4 - 1):
-        with pytest.raises(ValueError, match="0 or 1 mod 4"):
-            principal_form(d)
-
-
-def test_forms_must_be_positive_definite():
-    for a, b, c in ((0, 1, 1), (-1, 1, -6), (1, 3, 1), (1, 2, 1), (1, 0, 0)):
-        with pytest.raises(ValueError, match="positive definite"):
-            BQF(a, b, c)
+def test_principal_form_values():
+    assert _principal(-4) == (1, 0, 1) and _principal(-3) == (1, 1, 1)
+    assert _principal(-12) == (1, 0, 3)  # any D = 0, 1 mod 4, fundamental or not
 
 
 def test_fundamental_discriminants_listing():
@@ -237,22 +227,22 @@ def test_fundamental_discriminants_listing():
 
 
 def test_reduced_forms_frozen_examples():
-    assert [(f.a, f.b, f.c) for f in reduced_forms(-35)] == [(1, 1, 9), (3, 1, 3)]
-    assert [(f.a, f.b, f.c) for f in reduced_forms(-4)] == [(1, 0, 1)]
-    forms23 = {(f.a, f.b, f.c) for f in reduced_forms(-23)}
+    assert _reduced_triples(-35) == [(1, 1, 9), (3, 1, 3)]
+    assert _reduced_triples(-4) == [(1, 0, 1)]
+    forms23 = set(_reduced_triples(-23))
     assert forms23 == {(1, 1, 6), (2, 1, 3), (2, -1, 3)}
     assert class_number(-47) == 5
 
 
 def test_reduced_forms_rejects_non_fundamental():
     with pytest.raises(NotFundamental):
-        reduced_forms(-12)
+        _reduced_triples(-12)
 
 
 def test_enumeration_refuses_large_discriminants(monkeypatch):
     monkeypatch.setattr(quadfields, "MAX_ENUMERATED_DISCRIMINANT", 23)
     assert class_group(-23).order == 3
-    for enumerate_forms in (class_group, class_number, reduced_forms):
+    for enumerate_forms in (class_group, class_number, _reduced_triples):
         with pytest.raises(BoundExceeded, match="24"):
             enumerate_forms(-24)
     # the fundamental check comes first
@@ -264,7 +254,7 @@ def test_reduced_forms_match_brute_force_oracle():
     for d in (-23, -35, -47, -84, -163, -195):
         if not is_fundamental(d):
             continue
-        got = {(f.a, f.b, f.c) for f in reduced_forms(d)}
+        got = set(_reduced_triples(d))
         assert got == brute_force_reduced_forms(d)
 
 
@@ -278,7 +268,7 @@ def test_reduced_forms_match_trial_division_oracle():
     # every list above ends below |D| = 20000, so the walk meets each of its fields
     tally: dict[int, list[int]] = {h: [] for h in PRIME_CLASS_NUMBER_LISTS}
     for d in fundamental_discriminants(20000):
-        forms = reduced_forms(d)
+        forms = _reduced_triples(d)
         assert forms == trial_division_forms(d), d
         if len(forms) in tally:
             assert class_group(d).order == len(forms), d
@@ -297,10 +287,10 @@ def test_reduced_forms_match_trial_division_on_a_seeded_sample():
             sample.append(d)
     cubes = ramified = 0
     for d in sample:
-        forms = reduced_forms(d)
+        forms = _reduced_triples(d)
         assert forms == trial_division_forms(d), d
         amax = isqrt(-d // 3)
-        cubes += any(f.a % p**3 == 0 for f in forms for p in (3, 5, 7) if d % p)
+        cubes += any(a % p**3 == 0 for a, _, _ in forms for p in (3, 5, 7) if d % p)
         ramified += any(2 < p and p * p <= amax for p in primefactors(-d))
     assert cubes and ramified
 
@@ -309,18 +299,18 @@ def test_two_is_inert_when_d_is_5_mod_8():
     # D = 5 (mod 8) has no square root modulo 8, so no even a carries a form; for
     # D = 1 (mod 8) with |D| >= 15 the form (2, 1, (1 - D)/8) is reduced
     for d in fundamental_discriminants(20000) + [-44747787, -48042147, -82360599]:
-        evens = [f for f in reduced_forms(d) if f.a % 2 == 0]
+        evens = [f for f in _reduced_triples(d) if f[0] % 2 == 0]
         if d % 8 == 5:
             assert not evens, d
         elif d % 8 == 1 and d <= -15:
-            assert BQF(2, 1, (1 - d) // 8) in evens, d
+            assert (2, 1, (1 - d) // 8) in evens, d
 
 
 def test_reduced_forms_smallest_discriminants():
-    assert reduced_forms(-3) == [BQF(1, 1, 1)]
-    assert reduced_forms(-4) == [BQF(1, 0, 1)]
-    assert reduced_forms(-7) == [BQF(1, 1, 2)]
-    assert reduced_forms(-8) == [BQF(1, 0, 2)]
+    assert _reduced_triples(-3) == [(1, 1, 1)]
+    assert _reduced_triples(-4) == [(1, 0, 1)]
+    assert _reduced_triples(-7) == [(1, 1, 2)]
+    assert _reduced_triples(-8) == [(1, 0, 2)]
     for d in (-3, -4, -7, -8):
         assert class_group(d).structure == G()
 
@@ -329,8 +319,8 @@ def test_reduced_forms_at_high_powers_of_two():
     # D = 1 mod 8 has square roots modulo every power of 2, so a = 2^v for
     # every 2^v <= sqrt(|D|/4) carries forms and the 2-adic roots are lifted 11 times
     d = -20000015
-    forms = reduced_forms(d)
-    assert {f.a for f in forms if f.a & (f.a - 1) == 0} == {2**v for v in range(12)}
+    forms = _reduced_triples(d)
+    assert {a for a, _, _ in forms if a & (a - 1) == 0} == {2**v for v in range(12)}
     assert forms == trial_division_forms(d)
 
 
@@ -457,7 +447,7 @@ def test_small_discriminants_take_their_primes_from_the_table(monkeypatch):
 @pytest.mark.parametrize("d", sorted(LARGE_PANEL))
 def test_large_panel_forms_and_structure(d):
     cg = class_group(d)
-    assert list(cg.representatives) == trial_division_forms(d)
+    assert list(cg.forms) == trial_division_forms(d)
     assert cg.structure == LARGE_PANEL[d]
     assert cg.structure.order == cg.order
 
@@ -472,24 +462,25 @@ def test_large_panel_classgroup_json_is_pinned(d):
 
 def test_reduction_soundness():
     for d in (-23, -47, -71):
-        for f in reduced_forms(d):
-            assert f.is_reduced
-            assert f.discriminant() == d
+        for f in _reduced_triples(d):
+            assert is_reduced(f)
+            a, b, c = f
+            assert b * b - 4 * a * c == d
 
 
 def test_reduce_form_normalizes():
     # equivalent to the principal form of -23 after translation and swap
     # (6,7,3) -> translate (6,-5,2) -> swap (2,5,6) -> translate (2,1,3)
-    f = BQF(6, 7, 3)
-    assert f.discriminant() == -23
-    assert reduce_form(f) == BQF(2, 1, 3)
-    assert reduce_form(BQF(1, -1, 6)) == BQF(1, 1, 6)
-    g = reduce_form(BQF(9, -17, 9))
-    assert g == BQF(1, 1, 9)
-    assert str(g) == "(1,1,9)"
+    f = (6, 7, 3)
+    assert 7 * 7 - 4 * 6 * 3 == -23
+    assert _reduce(*f, -23) == (2, 1, 3)
+    assert _reduce(1, -1, 6, -23) == (1, 1, 6)
+    g = _reduce(9, -17, 9, -35)
+    assert g == (1, 1, 9)
+    assert format_form(g) == "(1,1,9)"
     # |b| <= a <= c fails, and b < 0 on the boundary |b| = a or a = c
-    assert g.is_reduced and not f.is_reduced
-    assert not BQF(2, -2, 3).is_reduced and not BQF(2, -1, 2).is_reduced
+    assert is_reduced(g) and not is_reduced(f)
+    assert not is_reduced((2, -2, 3)) and not is_reduced((2, -1, 2))
 
 
 # -- composition ---------------------------------------------------------------
@@ -497,78 +488,70 @@ def test_reduce_form_normalizes():
 
 def test_identity_law():
     for d in (-23, -35, -47):
-        e = principal_form(d)
-        for f in reduced_forms(d):
-            assert compose(e, f) == f
-            assert compose(f, e) == f
+        e = _principal(d)
+        for f in _reduced_triples(d):
+            assert _compose(e, f, d) == f
+            assert _compose(f, e, d) == f
 
 
 def test_inverse_pairs_compose_to_identity():
-    f = BQF(2, 1, 3)
-    g = BQF(2, -1, 3)
-    assert compose(f, g) == BQF(1, 1, 6)
+    assert _compose((2, 1, 3), (2, -1, 3), -23) == (1, 1, 6)
     for d in (-23, -47, -71):
-        e = principal_form(d)
-        for h in reduced_forms(d):
-            assert compose(h, form_inverse(h)) == e
+        e = _principal(d)
+        for h in _reduced_triples(d):
+            assert _compose(h, form_inverse(h, d), d) == e
 
 
 def test_order_two_class_squares_to_identity():
-    assert compose(BQF(3, 1, 3), BQF(3, 1, 3)) == BQF(1, 1, 9)
+    assert _compose((3, 1, 3), (3, 1, 3), -35) == (1, 1, 9)
 
 
 def test_composition_refuses_a_product_off_the_discriminant():
     # (2,1,3) has discriminant -23; at -24, b^2 - D is not divisible by 4a
     with pytest.raises(ArithmeticError, match="left the discriminant"):
-        quadfields._compose((2, 1, 3), (2, 1, 3), -24)
-
-
-def test_discriminant_mismatch():
-    with pytest.raises(DiscriminantMismatch):
-        compose(BQF(1, 1, 6), BQF(1, 1, 9))
+        _compose((2, 1, 3), (2, 1, 3), -24)
 
 
 def test_group_axioms_small():
     for d in (-23, -35, -47, -71):
-        forms = reduced_forms(d)
-        e = principal_form(d)
+        forms = _reduced_triples(d)
+        e = _principal(d)
         table = {
-            (f, g): compose(f, g) for f, g in itertools.product(forms, repeat=2)
+            (f, g): _compose(f, g, d) for f, g in itertools.product(forms, repeat=2)
         }
         # closure + commutativity
         assert all(v in forms for v in table.values())
         assert all(table[(f, g)] == table[(g, f)] for f in forms for g in forms)
         # inverses
         for f in forms:
-            assert table[(f, form_inverse(f))] == e
+            assert table[(f, form_inverse(f, d))] == e
         # associativity, exhaustively
         for f, g, h in itertools.product(forms, repeat=3):
             assert table[(table[(f, g)], h)] == table[(f, table[(g, h)])]
 
 
-def _sl2_move(rng: random.Random, f: BinaryQuadraticForm) -> BinaryQuadraticForm:
+def _sl2_move(rng: random.Random, f: Triple) -> Triple:
     """An equivalent form, a few random translations and swaps away from f."""
-    a, b, c = f.a, f.b, f.c
+    a, b, c = f
     for _ in range(rng.randrange(1, 5)):
         k = rng.randrange(-3, 4)
         b, c = b + 2 * k * a, c + k * b + k * k * a
         if rng.random() < 0.5:
             a, b, c = c, -b, a
-    return BQF(a, b, c)
+    return a, b, c
 
 
-def _primitive_reduced_forms(d: int) -> list[BinaryQuadraticForm]:
-    forms = (BQF(*abc) for abc in sorted(brute_force_reduced_forms(d)))
-    return [f for f in forms if gcd(f.a, f.b, f.c) == 1]
+def _primitive_reduced_forms(d: int) -> list[Triple]:
+    return [f for f in sorted(brute_force_reduced_forms(d)) if gcd(*f) == 1]
 
 
 def test_compose_matches_ideal_product_oracle():
     # every ordered pair of reduced forms of each fundamental |D| < 1000
     pairs = 0
     for d in fundamental_discriminants(1000):
-        forms = reduced_forms(d)
+        forms = _reduced_triples(d)
         for f, g in itertools.product(forms, repeat=2):
-            assert compose(f, g) == ideal_product_compose(f, g), (f, g)
+            assert _compose(f, g, d) == ideal_product_compose(f, g, d), (f, g)
         pairs += len(forms) ** 2
     assert pairs == 43097
     rng = random.Random(5447)
@@ -581,22 +564,22 @@ def test_compose_matches_ideal_product_oracle():
         non_fundamental += not is_fundamental(d)
         for _ in range(10):
             f, g = (_sl2_move(rng, rng.choice(forms)) for _ in range(2))
-            assert compose(f, g) == ideal_product_compose(f, g), (f, g)
+            assert _compose(f, g, d) == ideal_product_compose(f, g, d), (f, g)
     assert non_fundamental > 50
     # random pairs at the large panel discriminants
     for d in LARGE_PANEL:
-        forms = reduced_forms(d)
+        forms = _reduced_triples(d)
         for _ in range(300):
             f, g = rng.choice(forms), rng.choice(forms)
-            assert compose(f, g) == ideal_product_compose(f, g), (f, g)
+            assert _compose(f, g, d) == ideal_product_compose(f, g, d), (f, g)
 
 
 def test_form_power():
-    f = BQF(2, 1, 3)
-    assert form_power(f, 0) == principal_form(-23)
-    assert form_power(f, 1) == f
-    assert form_power(f, 3) == principal_form(-23)
-    assert form_power(f, 2) == form_inverse(f)
+    f = (2, 1, 3)
+    assert form_power(f, 0, -23) == _principal(-23)
+    assert form_power(f, 1, -23) == f
+    assert form_power(f, 3, -23) == _principal(-23)
+    assert form_power(f, 2, -23) == form_inverse(f, -23)
 
 
 # -- class groups -----------------------------------------------------------------
@@ -615,9 +598,9 @@ def test_class_group_consistency():
         if not is_fundamental(d):
             continue
         cg = class_group(d)
-        assert cg.order == len(reduced_forms(d))
+        assert cg.order == len(_reduced_triples(d))
         assert cg.structure.order == cg.order
-        assert cg.principal in cg.representatives
+        assert cg.forms[0] == _principal(d)
 
 
 def test_noncyclic_class_group():
@@ -625,8 +608,8 @@ def test_noncyclic_class_group():
     cg = class_group(-84)
     assert cg.order == 4
     assert cg.structure == G(2, 2)
-    e = principal_form(-84)
-    assert all(form_power(f, 2) == e for f in cg.representatives)
+    e = _principal(-84)
+    assert all(form_power(f, 2, -84) == e for f in cg.forms)
     # h(-120) = 4, also (Z/2)^2
     assert class_group(-120).structure == G(2, 2)
     # h(-56) = 4 but cyclic: (3,2,5) has order 4
@@ -771,27 +754,27 @@ def test_class_group_checks_the_structure_order(monkeypatch):
         class_group(-84)
 
 
-def _cyclic_span(g: BinaryQuadraticForm, identity: BinaryQuadraticForm) -> set[BinaryQuadraticForm]:
+def _cyclic_span(g: Triple, identity: Triple, d: int) -> set[Triple]:
     span, power = {identity}, g
     while power not in span:
         span.add(power)
-        power = compose(power, g)
+        power = _compose(power, g, d)
     return span
 
 
 def test_prime_order_sylow_matches_its_span():
     # oracle for the one-power path: for p exactly dividing h, the images
-    # f^(h/p) span exactly p classes under the public compose
+    # f^(h/p) span exactly p classes under composition
     checked = 0
     for d in fundamental_discriminants(5000):
-        forms = reduced_forms(d)
-        h, identity = len(forms), principal_form(d)
+        forms = _reduced_triples(d)
+        h, identity = len(forms), _principal(d)
         for p, e in factorint(h).items():
             if e > 1:
                 continue
-            images = {form_power(f, h // p) for f in forms}
+            images = {form_power(f, h // p, d) for f in forms}
             g = next(x for x in images if x != identity)
-            span = _cyclic_span(g, identity)
+            span = _cyclic_span(g, identity, d)
             assert len(span) == p and images == span, (d, p)
             checked += 1
     assert checked > 1000
@@ -811,6 +794,6 @@ def test_class_number_one_discriminants_are_heegner():
 def test_genus_theory_two_torsion_counts():
     # classical: the ambiguous classes number 2^(t-1), t = #{primes dividing D}
     for d in fundamental_discriminants(200):
-        e = principal_form(d)
-        ambiguous = sum(1 for f in reduced_forms(d) if compose(f, f) == e)
+        e = _principal(d)
+        ambiguous = sum(1 for f in _reduced_triples(d) if _compose(f, f, d) == e)
         assert ambiguous == 2 ** (len(primefactors(-d)) - 1), d

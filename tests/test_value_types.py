@@ -29,10 +29,9 @@ from galab.extensions import (
     UniquenessReport,
 )
 from galab.finabelian import FiniteAbelianGroup, GroupElement
-from galab.quadfields import BinaryQuadraticForm, ClassGroup
+from galab.quadfields import ClassGroup
 
 G = FiniteAbelianGroup
-FORM = BinaryQuadraticForm(1, 1, 6)
 SPEC = TruncationSpec(2, G(2), (1, 2), 1)
 ELEMENT = GroupElement(G(2, 4), (3, 1))
 SURVIVOR = SurvivorClass(G(2, 8), (ELEMENT,), G(2, 4), 1)
@@ -45,7 +44,6 @@ CASE = UniquenessCase((1, 2), ((0, 3),), 0, (G(2, 8),), G(2, 8), True)
 # each record with its fields as keywords, in positional order
 EXAMPLES = [
     (GroupElement, dict(group=G(2, 4), coords=(3, 1))),
-    (BinaryQuadraticForm, dict(a=2, b=1, c=3)),
     (ClassGroup, dict(discriminant=-23, forms=((1, 1, 6),), structure=G(3))),
     (LocalFactors, dict(prime=3, free_rank=1, cyclic=((1, 2),), full_tower=False)),
     (ProfiniteDescriptor, dict(free_rank=1, local_factors=(LOCAL,), all_primes_tower=False)),
@@ -133,11 +131,10 @@ def test_groups_are_immutable_values():
 def test_record_equality_is_by_class_and_value():
     assert ProfiniteDescriptor(1) != DiscreteTorsionDescriptor(1)
     assert hash(ProfiniteDescriptor(1)) == hash(ProfiniteDescriptor(1))
-    assert BinaryQuadraticForm(2, 1, 3) != BinaryQuadraticForm(2, -1, 3)
     assert GroupElement(G(4), (1,)) != GroupElement(G(8), (1,))
     assert GroupElement(G(4), (1,)) != GroupElement(G(4), (3,))
-    assert repr(FORM) == "BinaryQuadraticForm(a=1, b=1, c=6)"
-    assert len({FORM, BinaryQuadraticForm(1, 1, 6), BinaryQuadraticForm(2, 1, 3)}) == 2
+    assert repr(LOCAL) == "LocalFactors(prime=3, free_rank=1, cyclic=((1, 2),), full_tower=False)"
+    assert len({LOCAL, LocalFactors(3, 1, ((1, 2),), False), LocalFactors(2)}) == 2
 
 
 def test_record_defaults():
